@@ -379,8 +379,7 @@ func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) err
 	if schemas != nil {
 		rp.schemaVer = st.SchemaVersion
 	}
-	rp.latest = latestFPs(st)
-	rp.latestStats = latestStatsMap(st)
+	rp.setLatest(st)
 	rp.lastSync = time.Now()
 	rp.lastErr = nil
 	rp.down.Store(false)
@@ -398,14 +397,15 @@ func (rp *RemotePeer) schemaVerLoad(n *Network) uint64 {
 
 // applyPushBatch applies one pushed change batch under the remote lock:
 // schema records grow the mirror, data records advance the remote
-// fingerprints, and records for relations with a replica replay onto it
-// through the same per-record fingerprint verification the delta pull
-// path uses (applyDelta) — a replay that fails simply drops the
-// replica's fingerprint, so the next query re-fetches it through the
-// poll path. Applied changes then flow through the updategram path into
-// placed materialized views, relation by relation with intermediate
-// snapshots — incremental maintenance instead of re-derivation, with a
-// full refresh as the correctness fallback.
+// fingerprints, and records for relations with a replica are verified
+// and then replayed onto it in place, exactly as the delta pull path
+// does (applyDelta) — a batch that fails verification leaves the
+// replica untouched and drops its fingerprint, so the next query
+// re-fetches it through the poll path. Applied changes then flow
+// through the updategram path into placed materialized views, relation
+// by relation, between a global snapshot taken before the apply and
+// one taken after — incremental maintenance instead of re-derivation,
+// with a full refresh as the correctness fallback.
 func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) error {
 	n.pushBatches.Add(1)
 	n.pushRecords.Add(uint64(len(recs)))
@@ -454,21 +454,22 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 			}
 			continue
 		}
-		base := rp.mirror.Store.Get(rel)
-		dst, got, err := applyDelta(base, rel, have, todo)
+		var pre *relation.Database
+		if n.hasSubs() {
+			// The updategram's pre-state: taken before the in-place apply,
+			// which the snapshot's copies do not see.
+			pre = n.globalSnapshot()
+		}
+		got, err := applyDelta(rp.mirror.Store.Get(rel), rel, have, remoteFP{}, todo)
 		if err != nil {
 			// Inconsistent with the replica (e.g. the subscription started
-			// past a gap the replica predates): drop the fingerprint so the
-			// poll path re-fetches, and keep streaming.
+			// past a gap the replica predates): the replica is untouched;
+			// drop its fingerprint so the poll path re-fetches it, and keep
+			// streaming.
 			delete(rp.fetched, rel)
 			delete(rp.pushFresh, rel)
 			continue
 		}
-		var pre *relation.Database
-		if n.hasSubs() {
-			pre = n.globalSnapshot() // before the Put: the updategram's pre-state
-		}
-		rp.mirror.Store.Put(dst)
 		rp.fetched[rel] = got
 		rp.pushFresh[rel] = true
 		if pre != nil {

@@ -232,6 +232,10 @@ func TestPushDifferentialLoopback(t *testing.T) {
 	defs := []string{
 		"v(N, E) :- mit.subject(N, E)",
 		"w(N) :- mit.subject(N, E), berkeley.course(N, S)",
+		// A self-join: maintaining it under a delete reads the pre-state
+		// of the very relation the push applies to, so the updategram's
+		// pre snapshot must predate the in-place apply.
+		"x(N) :- mit.subject(N, E), mit.subject(M, E)",
 	}
 	pushSubs := make([]*Subscription, len(defs))
 	localSubs := make([]*Subscription, len(defs))

@@ -253,11 +253,12 @@ func (n *Network) AddRemotePeer(ctx context.Context, name string, tr Transport) 
 		mirror:      mirror,
 		schemaVer:   st.SchemaVersion,
 		fetched:     make(map[string]remoteFP),
-		latest:      latestFPs(st),
-		latestStats: latestStatsMap(st),
+		latest:      make(map[string]remoteFP, len(st.Relations)),
+		latestStats: make(map[string]relation.Stats, len(st.Relations)),
 		lastSync:    time.Now(),
 		pushFresh:   make(map[string]bool),
 	}
+	rp.setLatest(st)
 	if n.remotes == nil {
 		n.remotes = make(map[string]*RemotePeer)
 	}
@@ -265,23 +266,18 @@ func (n *Network) AddRemotePeer(ctx context.Context, name string, tr Transport) 
 	return rp, nil
 }
 
-// latestFPs extracts the per-relation fingerprints of a State response.
-func latestFPs(st PeerState) map[string]remoteFP {
-	out := make(map[string]remoteFP, len(st.Relations))
+// setLatest records a State response's per-relation fingerprints and
+// full statistics (the ship-vs-mirror cost model's input), refilling
+// the maps in place so the per-query probe does not allocate them
+// anew. Caller holds the owning Network's remoteMu write side, or owns
+// rp exclusively.
+func (rp *RemotePeer) setLatest(st PeerState) {
+	clear(rp.latest)
+	clear(rp.latestStats)
 	for _, ns := range st.Relations {
-		out[ns.Name] = remoteFP{ver: ns.Stats.Version, rows: ns.Stats.Rows}
+		rp.latest[ns.Name] = remoteFP{ver: ns.Stats.Version, rows: ns.Stats.Rows}
+		rp.latestStats[ns.Name] = ns.Stats
 	}
-	return out
-}
-
-// latestStatsMap extracts the full per-relation statistics of a State
-// response — the ship-vs-mirror cost model's input.
-func latestStatsMap(st PeerState) map[string]relation.Stats {
-	out := make(map[string]relation.Stats, len(st.Relations))
-	for _, ns := range st.Relations {
-		out[ns.Name] = ns.Stats
-	}
-	return out
 }
 
 // syncRemotes refreshes every remote peer's fingerprint with one State
@@ -388,8 +384,7 @@ func (n *Network) syncRemotes(ctx context.Context, pol RetryPolicy, budget *retr
 			}
 			return retries, fmt.Errorf("pdms: sync remote peer %s: %w", name, perr)
 		}
-		rp.latest = latestFPs(st)
-		rp.latestStats = latestStatsMap(st)
+		rp.setLatest(st)
 		rp.lastSync = time.Now()
 		rp.down.Store(false) // a successful probe resurrects a down peer
 	}
@@ -399,9 +394,10 @@ func (n *Network) syncRemotes(ctx context.Context, pol RetryPolicy, budget *retr
 // fetchJob names one stale replica to rebuild. When the mirror already
 // holds a replica built from a known fingerprint, base carries that
 // replica and have its fingerprint, so the worker can try a delta
-// catch-up before falling back to a full scan; base is captured while
-// the caller holds remoteMu, because workers must not read the mirror
-// store concurrently with the drain loop's replica publishes.
+// catch-up — applied to base in place — before falling back to a full
+// scan; base is captured while the caller holds remoteMu, because
+// workers must not read the mirror store concurrently with the drain
+// loop's replica publishes.
 type fetchJob struct {
 	rp   *RemotePeer
 	rel  string
@@ -424,39 +420,84 @@ func (n *Network) RemoteSyncCounts() (scans, deltas, ships uint64) {
 	return n.remoteScans.Load(), n.remoteDeltas.Load(), n.remoteShips.Load()
 }
 
-// applyDelta replays change records onto a clone of the replica built
-// from fingerprint have, verifying every record's post-change (version,
-// rows) fingerprint along the way, and returns the caught-up relation
-// plus the fingerprint it landed on. Any inconsistency — wrong relation,
-// non-advancing version, row count mismatch — returns an error and the
-// caller falls back to a full scan: a delta must reconstruct exactly the
-// serving peer's state or not be used at all.
-func applyDelta(base *relation.Relation, rel string, have remoteFP, recs []relation.ChangeRecord) (*relation.Relation, remoteFP, error) {
-	dst := base.Clone()
-	fp := have
+// applyDelta brings the replica dst, built from fingerprint have, up to
+// date with change records: it verifies the whole batch first, then
+// replays it onto dst in place, and returns the fingerprint dst landed
+// on. Verification checks every record — the relation name, strictly
+// rising versions, schema compatibility, the post-change row count —
+// and that the batch reaches version want.ver (pass a zero want when
+// any end point will do). Any inconsistency returns an error before
+// dst is touched: a rejected batch leaves the replica exactly as it
+// was, so a last-good mirror is never half-applied, and the caller
+// falls back to a full scan.
+//
+// Mutating the replica in place is safe because replicas are mutated
+// only under n.remoteMu's write side — by the push applier, or by the
+// fetch workers of a Query that holds it, each owning distinct
+// relations — and cursors only ever read SnapshotAs snapshots, which
+// no mutation of the replica changes.
+func applyDelta(dst *relation.Relation, rel string, have, want remoteFP, recs []relation.ChangeRecord) (remoteFP, error) {
+	fp, err := verifyDelta(dst, rel, have, want, recs)
+	if err != nil {
+		return remoteFP{}, err
+	}
+	for _, rec := range recs {
+		if rec.Op == relation.ChangeDelete {
+			dst.Delete(rec.Tuple)
+		} else if err := dst.Insert(rec.Tuple); err != nil {
+			panic(fmt.Sprintf("pdms: verified delta insert rejected: %v", err))
+		}
+	}
+	return fp, nil
+}
+
+// verifyDelta checks change records against the replica base without
+// mutating it and returns the fingerprint replaying them lands on (see
+// applyDelta). A delete removes every copy of its tuple: the replica's
+// own copies, counted once up front, plus those the batch inserted —
+// and none of either once an earlier delete in the batch removed them.
+func verifyDelta(base *relation.Relation, rel string, have, want remoteFP, recs []relation.ChangeRecord) (remoteFP, error) {
+	var copies relation.TupleMap[int]
+	for _, rec := range recs {
+		if rec.Op == relation.ChangeDelete {
+			if _, counted := copies.Get(rec.Tuple); !counted {
+				copies.Put(rec.Tuple, base.Count(rec.Tuple))
+			}
+		}
+	}
+	fp, rows := have, base.Len()
 	for _, rec := range recs {
 		if rec.Rel != rel {
-			return nil, remoteFP{}, fmt.Errorf("delta for %s carries record of %s", rel, rec.Rel)
+			return remoteFP{}, fmt.Errorf("delta for %s carries record of %s", rel, rec.Rel)
 		}
 		if rec.Ver <= fp.ver {
-			return nil, remoteFP{}, fmt.Errorf("delta version %d does not advance past %d", rec.Ver, fp.ver)
+			return remoteFP{}, fmt.Errorf("delta version %d does not advance past %d", rec.Ver, fp.ver)
 		}
-		switch rec.Op {
-		case relation.ChangeInsert:
-			if err := dst.Insert(rec.Tuple); err != nil {
-				return nil, remoteFP{}, err
+		if rec.Op != relation.ChangeInsert && rec.Op != relation.ChangeDelete {
+			return remoteFP{}, fmt.Errorf("delta carries unexpected op %d", rec.Op)
+		}
+		if err := base.Schema.Compatible(rec.Tuple); err != nil {
+			return remoteFP{}, err
+		}
+		n, counted := copies.Get(rec.Tuple)
+		if rec.Op == relation.ChangeInsert {
+			rows++
+			if counted {
+				copies.Put(rec.Tuple, n+1)
 			}
-		case relation.ChangeDelete:
-			dst.Delete(rec.Tuple)
-		default:
-			return nil, remoteFP{}, fmt.Errorf("delta carries unexpected op %d", rec.Op)
+		} else {
+			rows -= n
+			copies.Put(rec.Tuple, 0)
 		}
-		if dst.Len() != rec.Rows {
-			return nil, remoteFP{}, fmt.Errorf("delta replay left %d rows, record says %d", dst.Len(), rec.Rows)
+		if rows != rec.Rows {
+			return remoteFP{}, fmt.Errorf("delta replay leaves %d rows, record says %d", rows, rec.Rows)
 		}
 		fp = remoteFP{ver: rec.Ver, rows: rec.Rows}
 	}
-	return dst, fp, nil
+	if fp.ver < want.ver {
+		return remoteFP{}, fmt.Errorf("delta stops at version %d, short of %d", fp.ver, want.ver)
+	}
+	return fp, nil
 }
 
 // fetchReferenced brings every remote relation referenced by the
@@ -465,10 +506,11 @@ func applyDelta(base *relation.Relation, rel string, have remoteFP, recs []relat
 // worker pool (the PR 3 fan-out shape: a job channel, first
 // non-absorbable error cancels the rest), each scan retried under the
 // request's policy and streaming tuple batches into a fresh relation
-// built through Insert so column statistics accrue and the cost-based
-// planner orders joins from remote cardinalities. A failed attempt
-// discards its partial relation — a replica is replaced only by a
-// complete scan, atomically, from this goroutine, which also bumps
+// built through InsertBatch so column statistics accrue and the
+// cost-based planner orders joins from remote cardinalities. A failed
+// attempt discards its partial relation — a replica is replaced only
+// by a complete scan, atomically, from this goroutine (or caught up in
+// place by a verified delta, see applyDelta), which also bumps
 // the global snapshot fingerprint so plans compiled from the stale
 // replica are recompiled, never reused.
 //
@@ -549,8 +591,9 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 		// a scan, possibly fresher for a delta that caught records written
 		// after the State probe.
 		got remoteFP
-		// viaDelta marks a replica rebuilt from change records rather than
-		// a full scan (feeds the RemoteSyncCounts observability).
+		// viaDelta marks a replica caught up in place from change records
+		// rather than rebuilt by a full scan (rel is then nil; feeds the
+		// RemoteSyncCounts observability).
 		viaDelta bool
 		// overlay marks a partial replica built by shipped sub-plan
 		// execution: it goes into the per-request ships overlay, never the
@@ -604,28 +647,22 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 				// relation. A transport failure here is the job's failure (a
 				// scan against the same peer would fare no better); an
 				// uncovered or inconsistent delta falls through to the scan.
-				dst, got, viaDelta, r, err := n.tryDelta(fctx, pol, budget, job)
+				got, viaDelta, r, err := n.tryDelta(fctx, pol, budget, job)
 				retried.Add(int64(r))
 				if err != nil {
 					results <- fetchResult{job: job, err: err}
 					continue
 				}
 				if viaDelta {
-					results <- fetchResult{job: job, rel: dst, got: got, viaDelta: true}
+					results <- fetchResult{job: job, got: got, viaDelta: true}
 					continue
 				}
+				var dst *relation.Relation
 				r, err = retryOp(fctx, pol, budget, func(actx context.Context) error {
 					// Fresh destination per attempt: a dropped scan's partial
 					// tuples must never leak into the retry.
 					dst = relation.New(job.rp.mirror.Schema(job.rel))
-					return job.rp.tr.Scan(actx, job.rp.name, job.rel, func(batch []relation.Tuple) error {
-						for _, t := range batch {
-							if err := dst.Insert(t); err != nil {
-								return err
-							}
-						}
-						return nil
-					})
+					return job.rp.tr.Scan(actx, job.rp.name, job.rel, dst.InsertBatch)
 				})
 				retried.Add(int64(r))
 				results <- fetchResult{job: job, rel: dst, got: job.want, err: err}
@@ -637,6 +674,14 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 	var firstErr error
 	for pending := len(jobs); pending > 0; pending-- {
 		res := <-results
+		if res.viaDelta {
+			// Applied to the mirror's replica in place: its fingerprint
+			// must follow it even when another job fails the request.
+			res.job.rp.fetched[res.job.rel] = res.got
+			n.remoteDeltas.Add(1)
+			paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "delta"})
+			continue
+		}
 		if res.err != nil {
 			if allowStale && degradable(ctx, res.err) {
 				name := res.job.rp.name
@@ -664,13 +709,8 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 			}
 			res.job.rp.mirror.Store.Put(res.rel)
 			res.job.rp.fetched[res.job.rel] = res.got
-			if res.viaDelta {
-				n.remoteDeltas.Add(1)
-				paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "delta"})
-			} else {
-				n.remoteScans.Add(1)
-				paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "scan"})
-			}
+			n.remoteScans.Add(1)
+			paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "scan"})
 		}
 	}
 	sort.Slice(paths, func(i, j int) bool {
@@ -686,15 +726,17 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 // false (with a nil error) when the cheap path does not apply — the
 // transport cannot ship deltas, the replica has no known fingerprint,
 // the serving peer's log no longer covers the range, or the records
-// fail their per-step fingerprint verification — and the caller falls
-// back to a full scan. A transport error is returned as err: a scan
-// against the same unreachable peer would only spend more retries, so
-// the failure flows into the request's ordinary degradation handling.
+// fail verification — and the caller falls back to a full scan. When
+// used, the catch-up was applied to job.base in place and got is the
+// fingerprint it landed on. A transport error is returned as err: a
+// scan against the same unreachable peer would only spend more
+// retries, so the failure flows into the request's ordinary
+// degradation handling.
 func (n *Network) tryDelta(ctx context.Context, pol RetryPolicy, budget *retryBudget,
-	job fetchJob) (dst *relation.Relation, got remoteFP, used bool, retries int, err error) {
+	job fetchJob) (got remoteFP, used bool, retries int, err error) {
 	dt, can := job.rp.tr.(DeltaTransport)
 	if !can || job.base == nil {
-		return nil, remoteFP{}, false, 0, nil
+		return remoteFP{}, false, 0, nil
 	}
 	var recs []relation.ChangeRecord
 	var covered bool
@@ -704,18 +746,19 @@ func (n *Network) tryDelta(ctx context.Context, pol RetryPolicy, budget *retryBu
 		return derr
 	})
 	if err != nil {
-		return nil, remoteFP{}, false, retries, err
+		return remoteFP{}, false, retries, err
 	}
 	if !covered {
-		return nil, remoteFP{}, false, retries, nil
+		return remoteFP{}, false, retries, nil
 	}
-	dst, got, aerr := applyDelta(job.base, job.rel, job.have, recs)
-	if aerr != nil || got.ver < job.want.ver {
+	got, aerr := applyDelta(job.base, job.rel, job.have, job.want, recs)
+	if aerr != nil {
 		// Inconsistent records, or a catch-up that fell short of the
-		// fingerprint the State probe promised: the scan is the truth.
-		return nil, remoteFP{}, false, retries, nil
+		// fingerprint the State probe promised: the replica is untouched
+		// and the scan is the truth.
+		return remoteFP{}, false, retries, nil
 	}
-	return dst, got, true, retries, nil
+	return got, true, retries, nil
 }
 
 // invalidateRemotesLocked drops every replica fingerprint so the next

@@ -114,7 +114,9 @@ const (
 	// current — each operation inserts one row at the serving peer,
 	// waits for the push apply, and re-queries. Run enforces its
 	// acceptance bounds: zero State probes per operation and
-	// O(changed-rows) wire bytes.
+	// O(changed-rows) wire bytes; TestPerfLedgerGate re-measures its
+	// allocations, which stay O(changed rows) because the push apply
+	// catches the replica up in place.
 	BenchPushFanout = "push_fanout"
 )
 
@@ -131,7 +133,7 @@ var RequiredBenches = []string{
 // writes (and the N of the default BENCH_N.json output name). Bump it
 // each PR that regenerates the ledger; the gate keys on Latest, so old
 // ledgers stay behind as the committed perf trajectory.
-const CurrentPR = 10
+const CurrentPR = 12
 
 // Latest resolves the newest BENCH_N.json in dir — the baseline
 // TestPerfLedgerGate compares a live measurement against, so the gate

@@ -7,13 +7,22 @@ import "sync"
 // to dense small ints ("codes"), and a columnar code vector aligned
 // with the row slice gives the engine an int32 read view over the
 // relation. Equality probes and duplicate elimination then compare and
-// hash ints instead of 40-byte Value structs. The encoding follows the
-// statistics lifecycle (see stats.go): it is updated incrementally on
-// Insert — one map probe and one append per column — rebuilt in one
-// pass when rows are removed or reordered (Delete, Dedup, SortRows),
-// and abandoned for relations whose rows were appended without Insert
-// (Project, Select results), which the engine detects via Encoding
-// returning nil and answers tuple-at-a-time instead.
+// hash ints instead of 40-byte Value structs. The encoding is updated
+// incrementally on Insert — one map probe and one append per column.
+// Removing rows (Delete, Dedup) copies the surviving codes into fresh
+// code vectors and keeps the dictionary as is: a value whose last row
+// went stays behind as a dead code, which decodes and resolves as
+// before but matches no row. Delete re-encodes from scratch only once
+// the rows it removed since the last full encode exceed the live row
+// count, so the dictionary stays within about twice its live size.
+// Reordering rows (SortRows) re-encodes. The encoding is abandoned for
+// relations whose rows were appended without Insert (Project, Select
+// results), which the engine detects via Encoding returning nil and
+// answers tuple-at-a-time instead.
+//
+// Codes are stable for the life of a Dict: dictionaries only grow, and
+// a full re-encode installs a new Dict rather than renumbering the old
+// one, so the batch kernel may memoize translations keyed by *Dict.
 
 // colDict is one column's dictionary: the columnar code vector (row id
 // → code), the decode table (code → value), and the encode map (value →
@@ -76,14 +85,15 @@ func (c *colDict) scan(v Value) (int32, bool) {
 	return 0, false
 }
 
-// clone snapshots the column dictionary. The code vector and decode
-// table are append-only under Insert, so the clone shares their backing
-// arrays, capped at the current lengths: a later append by the source
-// writes past the clone's cap (or reallocates) and never aliases what
-// the clone can read. The encode map cannot be shared — the source
-// mutates it in place — so the clone rebuilds it from vals lazily, on
-// the first lookup that actually needs it; snapshot-heavy paths that
-// only decode never pay for it.
+// clone snapshots the column dictionary. No mutation writes into an
+// existing element of the code vector or decode table — Insert appends,
+// Delete and Dedup swap in a fresh code vector — so the clone shares
+// their backing arrays, capped at the current lengths: a later append
+// by the source writes past the clone's cap (or reallocates) and never
+// aliases what the clone can read. The encode map cannot be shared —
+// the source mutates it in place — so the clone rebuilds it from vals
+// lazily, on the first lookup that actually needs it; snapshot-heavy
+// paths that only decode never pay for it.
 func (c *colDict) clone() colDict {
 	return colDict{
 		codes: c.codes[:len(c.codes):len(c.codes)],
@@ -142,7 +152,8 @@ func newDict(arity int) *Dict {
 func (d *Dict) Len() int { return d.n }
 
 // Width returns the number of distinct values — hence codes — in the
-// column's dictionary.
+// column's dictionary, dead codes included: after Delete some of them
+// may occur in no row.
 func (d *Dict) Width(col int) int { return len(d.cols[col].vals) }
 
 // Codes returns the column's code vector, aligned with the relation's
@@ -152,13 +163,15 @@ func (d *Dict) Codes(col int) []int32 { return d.cols[col].codes }
 // Value decodes one code of the column.
 func (d *Dict) Value(col int, code int32) Value { return d.cols[col].vals[code] }
 
-// Code returns the column's code for v and whether v appears in the
-// column at all — a miss means no row of the relation holds v there.
+// Code returns the column's code for v and whether v is in the
+// column's dictionary — a miss means no row of the relation holds v
+// there; a hit may be a dead code that no row holds any more.
 func (d *Dict) Code(col int, v Value) (int32, bool) {
 	return d.cols[col].lookup(v)
 }
 
-// clone deep-copies the encoding (nil stays nil).
+// clone snapshots the encoding, sharing its arrays as colDict.clone
+// describes (nil stays nil).
 func (d *Dict) clone() *Dict {
 	if d == nil {
 		return nil
@@ -211,10 +224,12 @@ func (r *Relation) addEncodingLocked(t Tuple, id int) {
 }
 
 // rebuildEncodingLocked recomputes the dictionary encoding from the
-// current rows (after a removal or reorder invalidated the incremental
-// one). Caller holds r.mu.
+// current rows into a new Dict (after a reorder invalidated the
+// positional one, or dead codes piled up), dropping every dead code.
+// Caller holds r.mu.
 func (r *Relation) rebuildEncodingLocked() {
 	r.dict = newDict(r.Schema.Arity())
+	r.dead = 0
 	for _, row := range r.rows {
 		for col := range r.dict.cols {
 			r.dict.cols[col].encode(row[col])

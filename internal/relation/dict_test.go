@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -94,6 +95,60 @@ func TestDictSnapshotAndCloneIndependence(t *testing.T) {
 		t.Errorf("snapshot encoding sees a value inserted after the snapshot")
 	}
 	checkEncoded(t, cl)
+
+	// Delete on the source compacts its code vectors; the snapshot
+	// shares the old ones and must keep its rows and codes.
+	before := append([]Tuple(nil), snap.Rows()...)
+	codes := append([]int32(nil), d.Codes(0)...)
+	if n := r.Delete(Tuple{SV("k0"), IV(0)}); n != 1 {
+		t.Fatalf("Delete = %d, want 1", n)
+	}
+	checkEncoded(t, r)
+	d = checkEncoded(t, snap)
+	if !reflect.DeepEqual(snap.Rows(), before) {
+		t.Errorf("snapshot rows changed by a Delete on its source")
+	}
+	if !reflect.DeepEqual(d.Codes(0), codes) {
+		t.Errorf("snapshot codes changed by a Delete on its source: %v, want %v", d.Codes(0), codes)
+	}
+	if r.Contains(Tuple{SV("k0"), IV(0)}) || !snap.Contains(Tuple{SV("k0"), IV(0)}) {
+		t.Errorf("deleted row: source still has it or snapshot lost it")
+	}
+}
+
+// TestDictDeadCodesBounded churns fresh distinct values through
+// insert-then-delete: each cycle leaves a dead code behind, and Delete
+// must re-encode them away, keeping the dictionary within about twice
+// the live size instead of growing with every value ever seen.
+func TestDictDeadCodesBounded(t *testing.T) {
+	r := New(dictSchema())
+	for i := 0; i < 100; i++ {
+		r.MustInsert(SV(fmt.Sprintf("k%d", i%10)), IV(int64(i)))
+	}
+	maxWidth := 0
+	for i := 0; i < 5000; i++ {
+		tup := Tuple{SV(fmt.Sprintf("fresh%d", i)), IV(int64(1000 + i))}
+		if err := r.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+		if n := r.Delete(tup); n != 1 {
+			t.Fatalf("cycle %d: Delete = %d, want 1", i, n)
+		}
+		d := r.Encoding()
+		if d == nil {
+			t.Fatalf("cycle %d: encoding lost", i)
+		}
+		for col := 0; col < 2; col++ {
+			maxWidth = max(maxWidth, d.Width(col))
+		}
+	}
+	checkEncoded(t, r)
+	if bound := 2*r.Len() + 2; maxWidth > bound {
+		t.Errorf("dictionary width reached %d over %d live rows, want <= %d", maxWidth, r.Len(), bound)
+	}
+	if _, ok := r.Encoding().Code(0, SV("fresh0")); ok {
+		t.Errorf("a value deleted thousands of cycles ago still has a code")
+	}
 }
 
 func TestCodeIndex(t *testing.T) {

@@ -2,8 +2,10 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Relation is an in-memory bag of tuples conforming to a schema, with
@@ -39,6 +41,15 @@ type Relation struct {
 	dict    *Dict
 	encRows int
 	codeIdx map[int]*CodeIndex
+	// dead counts the rows Delete removed since dict was last built from
+	// scratch — an upper bound on its dead codes. Delete re-encodes once
+	// it exceeds the live row count. See dict.go.
+	dead int
+	// rowsShared records that a snapshot may share rows' backing array
+	// (see SnapshotAs), so the next compaction or sort must write a
+	// fresh slice instead of overwriting rows in place. It is set by
+	// readers, hence atomic.
+	rowsShared atomic.Bool
 }
 
 // New creates an empty relation with the given schema. Column
@@ -90,20 +101,26 @@ func (r *Relation) RestoreVersion(v uint64) {
 }
 
 // SnapshotAs returns a relation named name holding this relation's
-// current tuples. The tuple references are shared (tuples are never
-// mutated in place) but the row slice is copied, so later inserts or
-// deletes here do not affect the snapshot. Statistics and the
-// dictionary encoding carry over — deep-copied, so the snapshot
-// executes batched while the source keeps growing — and planning
+// current tuples, without copying them: the snapshot shares the row
+// slice's backing array through a full-slice expression ([:n:n]), and
+// no mutation of either side overwrites a row below the length the
+// snapshot saw — Insert only appends past it (an append to the
+// snapshot reallocates), and Delete, Dedup and SortRows write a fresh
+// slice while the array is shared. So later inserts or deletes here
+// do not affect the snapshot. Statistics (deep-copied) and the
+// dictionary encoding (sharing the source's code vectors and decode
+// tables the same way — see colDict.clone) carry over, so the snapshot
+// executes batched while the source keeps changing, and planning
 // against a snapshot sees the source's cardinalities without
 // re-scanning.
 func (r *Relation) SnapshotAs(name string) *Relation {
-	rows := make([]Tuple, len(r.rows))
-	copy(rows, r.rows)
+	rows := r.rows[:len(r.rows):len(r.rows)]
+	r.rowsShared.Store(true)
 	out := &Relation{
 		Schema: Schema{Name: name, Attrs: r.Schema.Attrs},
 		rows:   rows,
 	}
+	out.rowsShared.Store(true)
 	r.mu.RLock()
 	if r.statRows == len(rows) {
 		out.sketches = cloneSketches(r.sketches)
@@ -112,6 +129,7 @@ func (r *Relation) SnapshotAs(name string) *Relation {
 	if r.encRows == len(rows) {
 		out.dict = r.dict.clone()
 		out.encRows = len(rows)
+		out.dead = r.dead
 	}
 	r.mu.RUnlock()
 	return out
@@ -181,35 +199,129 @@ func (r *Relation) InsertBatch(ts []Tuple) error {
 }
 
 // Delete removes all tuples equal to t and reports how many were removed.
-// Indexes are rebuilt lazily on next use; column statistics and the
-// dictionary encoding are rebuilt eagerly (the pass is already O(rows)).
+// Finding them is a scan of the int32 code vectors when the dictionary
+// encoding is current (none at all when some value of t is missing from
+// its column's dictionary), of the tuples otherwise; removing them
+// compacts rows and code vectors in one pass, with no re-encode.
+// Removed values stay in the dictionary as dead codes until the rows
+// removed since the last full encode exceed the live row count, which
+// keeps re-encoding amortized O(1) per removed row and the dictionary
+// within about twice its live size. Indexes are rebuilt lazily on next
+// use; column statistics are rebuilt eagerly from the surviving
+// distinct values, so they stay exact.
 func (r *Relation) Delete(t Tuple) int {
+	var gone []int
+	r.eachMatch(t, func(id int) { gone = append(gone, id) })
+	if len(gone) == 0 {
+		return 0
+	}
 	statsValid := r.statRows == len(r.rows)
-	encValid := r.encRows == len(r.rows)
-	kept := r.rows[:0]
-	removed := 0
-	for _, row := range r.rows {
-		if row.Equal(t) {
-			removed++
+	r.mu.Lock()
+	r.dropRowsLocked(gone)
+	if statsValid {
+		r.rebuildStatsLocked()
+	}
+	r.dead += len(gone)
+	if r.dict != nil && r.encRows == len(r.rows) && r.dead > len(r.rows) {
+		r.rebuildEncodingLocked()
+	}
+	r.mu.Unlock()
+	return len(gone)
+}
+
+// Count reports how many tuples equal t, by the same scan Delete uses
+// to find them.
+func (r *Relation) Count(t Tuple) int {
+	n := 0
+	r.eachMatch(t, func(int) { n++ })
+	return n
+}
+
+// eachMatch calls fn with the id of every row equal to t, in ascending
+// order. With a current encoding it compares codes: t's values are
+// resolved once, and a value absent from its column's dictionary means
+// no row can match.
+func (r *Relation) eachMatch(t Tuple, fn func(id int)) {
+	d := r.dict
+	if r.encRows != len(r.rows) || d == nil || len(t) == 0 || len(t) != len(d.cols) {
+		for i, row := range r.rows {
+			if row.Equal(t) {
+				fn(i)
+			}
+		}
+		return
+	}
+	want := make([]int32, len(t))
+	for col, v := range t {
+		code, ok := d.cols[col].lookup(v)
+		if !ok {
+			return
+		}
+		want[col] = code
+	}
+	for i, code := range d.cols[0].codes {
+		if code != want[0] {
 			continue
 		}
-		kept = append(kept, row)
-	}
-	r.rows = kept
-	if removed > 0 {
-		r.mu.Lock()
-		r.indexes = nil
-		r.codeIdx = nil
-		r.version++
-		if statsValid {
-			r.rebuildStatsLocked()
+		match := true
+		for col := 1; col < len(want); col++ {
+			if d.cols[col].codes[i] != want[col] {
+				match = false
+				break
+			}
 		}
-		if encValid {
-			r.rebuildEncodingLocked()
+		if match {
+			fn(i)
 		}
-		r.mu.Unlock()
 	}
-	return removed
+}
+
+// dropRowsLocked removes the rows at the ascending, non-empty ids gone.
+// It compacts the row slice in place, clearing the tail so the dropped
+// tuples are not kept reachable past the new length — or, while a
+// snapshot shares it, into a fresh slice of the same capacity. The
+// code vectors of a current encoding always go to fresh ones, since
+// snapshots share them too (see SnapshotAs). Dictionary values are
+// kept, so every code keeps its meaning; the row count the statistics
+// track is left to the caller. Caller holds r.mu.
+func (r *Relation) dropRowsLocked(gone []int) {
+	encValid := r.encRows == len(r.rows) && r.dict != nil
+	n := len(r.rows) - len(gone)
+	if r.rowsShared.Swap(false) {
+		rows := make([]Tuple, n, cap(r.rows))
+		compact(rows, r.rows, gone)
+		r.rows = rows
+	} else {
+		compact(r.rows, r.rows, gone)
+		clear(r.rows[n:])
+		r.rows = r.rows[:n]
+	}
+	if encValid {
+		for col := range r.dict.cols {
+			cd := &r.dict.cols[col]
+			codes := make([]int32, n, cap(cd.codes))
+			compact(codes, cd.codes, gone)
+			cd.codes = codes
+		}
+		r.dict.n = n
+		r.encRows = n
+	}
+	r.indexes = nil
+	r.codeIdx = nil
+	r.version++
+}
+
+// compact copies src minus the elements at the ascending ids gone to
+// dst, which may alias src.
+func compact[T any](dst, src []T, gone []int) {
+	w := copy(dst, src[:gone[0]])
+	for k, g := range gone {
+		end := len(src)
+		if k+1 < len(gone) {
+			end = gone[k+1]
+		}
+		w += copy(dst[w:], src[g+1:end])
+	}
 }
 
 func (r *Relation) dropIndexes() {
@@ -312,35 +424,24 @@ func (r *Relation) Contains(t Tuple) bool {
 }
 
 // Dedup removes duplicate tuples in place, preserving first occurrence
-// order, and returns the relation for chaining. Column statistics
-// survive without a rebuild: removing duplicate tuples leaves every
-// column's distinct-value set — hence its sketch — unchanged; only the
-// tracked row count moves.
+// order, and returns the relation for chaining. Column statistics and
+// the dictionary survive without a rebuild: removing duplicate tuples
+// leaves every column's distinct-value set — hence its sketch and its
+// dictionary — unchanged; the code vectors are compacted like Delete's.
 func (r *Relation) Dedup() *Relation {
 	statsValid := r.statRows == len(r.rows)
-	encValid := r.encRows == len(r.rows)
 	seen := NewTupleSet(len(r.rows))
-	kept := r.rows[:0]
-	for _, row := range r.rows {
+	var gone []int
+	for i, row := range r.rows {
 		if !seen.Add(row) {
-			continue
+			gone = append(gone, i)
 		}
-		kept = append(kept, row)
 	}
-	changed := len(kept) != len(r.rows)
-	r.rows = kept
-	if changed {
+	if len(gone) > 0 {
 		r.mu.Lock()
-		r.indexes = nil
-		r.codeIdx = nil
-		r.version++
+		r.dropRowsLocked(gone)
 		if statsValid {
-			r.statRows = len(kept)
-		}
-		if encValid {
-			// The code vectors are positional; dropping rows shifts
-			// every id after the first duplicate, so re-encode.
-			r.rebuildEncodingLocked()
+			r.statRows = len(r.rows)
 		}
 		r.mu.Unlock()
 	}
@@ -348,13 +449,19 @@ func (r *Relation) Dedup() *Relation {
 }
 
 // SortRows orders tuples lexicographically in place (for deterministic
-// output) and returns the relation. The row count is unchanged but the
-// order is not, so the positional dictionary encoding is re-derived
-// rather than trusted.
+// output) and returns the relation — on a fresh copy while a snapshot
+// shares the row slice (see SnapshotAs). The row count is unchanged
+// but the order is not, so the positional dictionary encoding is
+// re-derived rather than trusted.
 func (r *Relation) SortRows() *Relation {
 	encValid := r.encRows == len(r.rows)
-	sort.Slice(r.rows, func(i, j int) bool { return r.rows[i].Less(r.rows[j]) })
+	rows := r.rows
+	if r.rowsShared.Swap(false) {
+		rows = slices.Clone(rows)
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Less(rows[j]) })
 	r.mu.Lock()
+	r.rows = rows
 	r.indexes = nil
 	r.codeIdx = nil
 	if encValid {
@@ -380,6 +487,7 @@ func (r *Relation) Clone() *Relation {
 	if r.encRows == len(r.rows) {
 		out.dict = r.dict.clone()
 		out.encRows = len(out.rows)
+		out.dead = r.dead
 	}
 	return out
 }
@@ -449,11 +557,9 @@ func (r *Relation) Equal(other *Relation) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
-	for _, bucket := range a.buckets {
-		for _, row := range bucket {
-			if !b.Contains(row) {
-				return false
-			}
+	for _, row := range r.rows {
+		if !b.Contains(row) {
+			return false
 		}
 	}
 	return true

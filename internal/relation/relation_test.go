@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -166,6 +167,33 @@ func TestRelationDeleteDedup(t *testing.T) {
 	if r.Len() != 1 {
 		t.Errorf("Len after dedup = %d", r.Len())
 	}
+}
+
+// TestDeleteDedupReleaseTail checks that compaction leaves no tuple
+// referenced by the backing array past Len(), so removed tuples are
+// garbage as soon as the caller drops them.
+func TestDeleteDedupReleaseTail(t *testing.T) {
+	r := New(courseSchema())
+	for i := 0; i < 10; i++ {
+		r.MustInsert(SV("DB"), SV("halevy"), IV(int64(i%3)))
+	}
+	checkTail := func(op string) {
+		t.Helper()
+		for i, row := range r.rows[r.Len():cap(r.rows)] {
+			if row != nil {
+				t.Errorf("after %s: backing array slot %d (past Len %d) still holds %v", op, r.Len()+i, r.Len(), row)
+			}
+		}
+	}
+	if n := r.Delete(Tuple{SV("DB"), SV("halevy"), IV(0)}); n != 4 {
+		t.Fatalf("Delete = %d, want 4", n)
+	}
+	checkTail("Delete")
+	r.Dedup()
+	if r.Len() != 2 {
+		t.Fatalf("Len after Dedup = %d, want 2", r.Len())
+	}
+	checkTail("Dedup")
 }
 
 func TestRelationProjectSelectUnion(t *testing.T) {
@@ -342,5 +370,27 @@ func TestLookupMatchesScanProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkRelationDelete prices one insert-then-delete cycle of a
+// fresh row on a 50k-row relation shaped like the skewed-join fact
+// table (64 keys, 97 payloads): the serving peer's write path and the
+// coordinator's replica apply both pay it.
+func BenchmarkRelationDelete(b *testing.B) {
+	r := New(NewSchema("fact", Attr("key"), Attr("payload")))
+	for i := 0; i < 50000; i++ {
+		r.MustInsert(SV(fmt.Sprintf("k%d", i%64)), SV(fmt.Sprintf("p%d", i%97)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := Tuple{SV("k1"), SV(fmt.Sprintf("x%d", i))}
+		if err := r.Insert(t); err != nil {
+			b.Fatal(err)
+		}
+		if n := r.Delete(t); n != 1 {
+			b.Fatalf("Delete = %d, want 1", n)
+		}
 	}
 }

@@ -9,8 +9,10 @@ import (
 // join planner (internal/cq): a row count plus a per-column distinct-
 // value estimate from a small fixed-size KMV (k-minimum-values) sketch.
 // The sketches are updated incrementally on Insert — one hash and one
-// bounded sorted-insert per column — and rebuilt in one pass when rows
-// are removed (Delete, Dedup), so Stats is always O(columns) to read.
+// bounded sorted-insert per column — and rebuilt when Delete removes
+// rows, hashing each surviving distinct value once, so they stay
+// exact and Stats is always O(columns) to read. Dedup leaves them as
+// they are: removing duplicates changes no column's distinct-value set.
 // Relations whose rows were appended without going through Insert
 // (Project, Select results) carry no sketches; Stats reports that by
 // returning a nil Distinct slice and the planner falls back to the
@@ -166,13 +168,25 @@ func (r *Relation) addStatsLocked(t Tuple, id int) {
 }
 
 // rebuildStatsLocked recomputes every column sketch from the current
-// rows (after a removal invalidated the incremental ones). Caller holds
-// r.mu.
+// rows (after a removal invalidated the incremental ones) by hashing
+// each live value once — each code some row still holds, so dead codes
+// drop out — instead of every row's value; a sketch depends only on the
+// set of values added, so it comes out exact. Delete calls it only on
+// an encoded relation: statistics and the dictionary encoding are
+// maintained and invalidated together, so valid statistics imply a
+// current encoding. Caller holds r.mu.
 func (r *Relation) rebuildStatsLocked() {
 	r.sketches = make([]colSketch, r.Schema.Arity())
-	for _, row := range r.rows {
-		for col := range r.sketches {
-			r.sketches[col].add(row[col].Hash())
+	for col := range r.sketches {
+		cd := &r.dict.cols[col]
+		live := make([]bool, len(cd.vals))
+		for _, code := range cd.codes {
+			live[code] = true
+		}
+		for code, ok := range live {
+			if ok {
+				r.sketches[col].add(cd.vals[code].Hash())
+			}
 		}
 	}
 	r.statRows = len(r.rows)

@@ -8,9 +8,10 @@ import (
 
 // TestPerfLedgerGate is the machine check behind the committed
 // BENCH_N.json trajectory: it loads the latest ledger, re-measures the
-// all-local warm E2/16 path live, and fails when it regresses beyond
-// noise against that baseline. Allocations are deterministic, so their
-// gate is tight; wall-clock varies across CI machines, so its gate is
+// all-local warm E2/16 path and the push_fanout watch iteration live,
+// and fails when either regresses beyond noise against that baseline.
+// Allocations are deterministic, so their gate is tight (allocGate);
+// wall-clock varies across CI machines, so the warm path's gate is
 // generous — it catches a path regression (an accidental cold re-plan,
 // a lock convoy), not a slow runner.
 func TestPerfLedgerGate(t *testing.T) {
@@ -69,9 +70,7 @@ func TestPerfLedgerGate(t *testing.T) {
 	if live.Answers != base.Answers {
 		t.Errorf("warm E2/16 answers = %d, ledger recorded %d", live.Answers, base.Answers)
 	}
-	// Allocation count barely varies run to run: +25% (plus a small
-	// absolute slack) is a real regression, not noise.
-	if maxAllocs := base.AllocsPerOp*5/4 + 8; live.AllocsPerOp > maxAllocs {
+	if maxAllocs := allocGate(base.AllocsPerOp); live.AllocsPerOp > maxAllocs {
 		t.Errorf("warm E2/16 allocs regressed: %d/op, gate %d/op (ledger %d/op)",
 			live.AllocsPerOp, maxAllocs, base.AllocsPerOp)
 	}
@@ -81,4 +80,22 @@ func TestPerfLedgerGate(t *testing.T) {
 		t.Errorf("warm E2/16 wall clock regressed: %.0f ns/op, gate %.0f ns/op (ledger %.0f ns/op)",
 			live.NsPerOp, maxNs, base.NsPerOp)
 	}
+	// The push watch iteration's allocations are O(changed rows) since
+	// replicas are caught up in place; a copy of the relation sneaking
+	// back onto the apply path costs tens of thousands per op.
+	pushLive, err := perfledger.PushFanout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("push_fanout: live %.0f ns/op %d allocs/op vs ledger %.0f ns/op %d allocs/op",
+		pushLive.NsPerOp, pushLive.AllocsPerOp, push.NsPerOp, push.AllocsPerOp)
+	if maxAllocs := allocGate(push.AllocsPerOp); pushLive.AllocsPerOp > maxAllocs {
+		t.Errorf("push_fanout allocs regressed: %d/op, gate %d/op (ledger %d/op)",
+			pushLive.AllocsPerOp, maxAllocs, push.AllocsPerOp)
+	}
 }
+
+// allocGate bounds a live allocation count against its committed
+// value. Allocation counts barely vary run to run: +25% (plus a small
+// absolute slack) is a real regression, not noise.
+func allocGate(committed int64) int64 { return committed*5/4 + 8 }
