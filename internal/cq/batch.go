@@ -8,81 +8,56 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the columnar batch kernel, the default execution path of
-// the compiled engine. Where the tuple-at-a-time path (compile.go)
-// recurses row by row over flat []relation.Value slots, the batch
-// kernel streams fixed-size batches of int32 dictionary codes — one
-// column per slot, batchSize values per column — through the join
-// stages: each stage probes a packed code index (or scans), checks
-// equality over codes, and scatters surviving rows forward into the
-// next stage's batch. Codes are per-(relation, column), so equality
-// between different code spaces goes through small lazily-filled
-// translation tables (source code → target code), cached on the
-// executor and keyed by the dictionaries involved — append-only
-// dictionaries keep cached entries valid, so memos survive across
-// branches and across queries. Duplicate elimination hashes head-slot
-// code vectors (relation.CodeSet), not Values, and answer tuples are
-// bump-allocated from a slab. All batch/translation/slab state lives on
-// a pooled batchExec that StreamUnionOpts reuses across every branch of
-// a union — one cursor's lifetime — and across unions via a sync.Pool;
-// cancellation is polled once per batch of rows examined instead of per
-// row.
+// This file is the columnar batch kernel, the execution engine for
+// compiled plans (compile.go). It streams fixed-size batches of int32
+// dictionary codes — one column per slot, batchSize values per column
+// — through the join stages: each stage probes a packed code index (or
+// scans), checks equality over codes, and scatters surviving rows
+// forward into the next stage's batch. Codes are per-(relation,
+// column), so equality between different code spaces goes through
+// small lazily-filled translation tables (source code → target code),
+// cached on the executor and keyed by the dictionaries involved —
+// append-only dictionaries keep cached entries valid, so memos survive
+// across branches and across queries. Duplicate elimination hashes
+// head-slot code vectors (relation.CodeSet), not Values, and answer
+// tuples are bump-allocated from a slab. All batch/translation/slab
+// state lives on a pooled batchExec that StreamUnionOpts reuses across
+// every branch of a union — one cursor's lifetime — and across unions
+// via a sync.Pool; cancellation is polled once per batch of rows
+// examined instead of per row.
 //
-// The kernel requires every body relation to carry a current dictionary
-// encoding (relation.Encoding). When one does not — rows appended
-// without Insert, or a NewResult relation — the branch silently falls
-// back to the tuple-at-a-time reference path, sharing the union's dedup
-// state so mixed unions still yield each distinct answer exactly once.
+// The kernel reads every body relation through its dictionary
+// encoding. A relation that has none yet — a NewResult relation, a
+// Project or Select result, rows appended without Insert — is encoded
+// from its rows on first use (relation.EnsureEncoding), so every branch
+// runs here. EvalReference (eval.go) is the oracle the kernel is held
+// to.
 
 // batchSize is how many rows each column batch holds: large enough to
 // amortize per-batch bookkeeping and cancellation polls, small enough
 // that a full stage (nslots × batchSize × 4 bytes) stays cache-warm.
 const batchSize = 1024
 
-// KernelCounts tallies, per execution, how many union branches ran the
-// columnar batch kernel and how many fell back to the tuple-at-a-time
-// reference path (no current dictionary encoding, or
-// ExecOptions.ForceTupleAtATime). Hand one to ExecOptions.Kernels and
-// read it after the stream drains; the counters are atomic, so the
-// parallel union pool updates them safely.
+// ctxCheckInterval is how many complete bindings the leaf handles
+// between cancellation polls — small enough that cancellation is prompt, large
+// enough that the select never shows up in profiles.
+const ctxCheckInterval = 256
+
+// KernelCounts tallies, per execution, how many union branches the
+// batch kernel ran. Hand one to ExecOptions.Kernels and read it after
+// the stream drains; the counter is atomic, so the parallel union pool
+// updates it safely.
 type KernelCounts struct {
-	batch    atomic.Int64
-	fallback atomic.Int64
+	batch atomic.Int64
 }
 
 // Batch returns how many branches ran the columnar batch kernel.
 func (k *KernelCounts) Batch() int { return int(k.batch.Load()) }
 
-// Fallback returns how many branches ran the tuple-at-a-time path.
-func (k *KernelCounts) Fallback() int { return int(k.fallback.Load()) }
-
 func (k *KernelCounts) noteBatch() {
 	if k != nil {
 		k.batch.Add(1)
 	}
-}
-
-func (k *KernelCounts) noteFallback() {
-	if k != nil {
-		k.fallback.Add(1)
-	}
-}
-
-// BatchEligible reports whether every body relation currently maintains
-// a dictionary encoding, i.e. whether executions of this plan ride the
-// columnar batch kernel (absent ExecOptions.ForceTupleAtATime). It is
-// advisory — eligibility is re-checked per execution, since encodings
-// come and go with mutations.
-func (p *Plan) BatchEligible() bool {
-	if len(p.atoms) == 0 {
-		return false
-	}
-	for i := range p.atoms {
-		if p.atoms[i].rel.Encoding() == nil {
-			return false
-		}
-	}
-	return true
 }
 
 // colRef names one code space: a column of one relation's dictionary.
@@ -217,9 +192,8 @@ func (e *batchExec) memoFor(src colRef, dst *relation.Dict, dstCol int) []int32 
 }
 
 // outEnc is the union-wide output encoder for code-mode dedup: one
-// dictionary per head column, shared by every branch (batch branches
-// translate head codes into it; fallback branches encode Values through
-// codeAdder), so a union deduplicates in one code space.
+// dictionary per head column, shared by every branch (each translates
+// its head codes into it), so a union deduplicates in one code space.
 type outEnc struct {
 	cols []outCol
 }
@@ -279,22 +253,6 @@ func (o *outEnc) encode(col int, v relation.Value) int32 {
 
 func (o *outEnc) value(col int, code int32) relation.Value { return o.cols[col].vals[code] }
 
-// codeAdder routes a tuple-at-a-time fallback branch through the
-// union's code-vector dedup state, so batch and fallback branches of
-// one union agree on which answers are duplicates.
-type codeAdder struct {
-	out  *outEnc
-	seen *relation.CodeSet
-	buf  []int32
-}
-
-func (a *codeAdder) Add(t relation.Tuple) bool {
-	for j, v := range t {
-		a.buf[j] = a.out.encode(j, v)
-	}
-	return a.seen.Add(a.buf)
-}
-
 // batchExec is the reusable kernel state of one executing goroutine:
 // stage descriptors, per-stage output batches, translation arenas, the
 // answer-tuple slab, and the dedup mode. StreamUnionOpts builds one per
@@ -311,7 +269,7 @@ type batchExec struct {
 	ctx   context.Context
 	done  <-chan struct{}
 	yield func(relation.Tuple) bool
-	adder relation.TupleAdder // tuple mode only
+	adder *relation.ShardedTupleSet // tuple mode only
 	err   error
 	empty bool // a query constant occurs nowhere: zero answers
 
@@ -340,7 +298,7 @@ var batchExecPool = sync.Pool{New: func() any { return new(batchExec) }}
 
 // getBatchExec returns a (possibly recycled) kernel state for unions of
 // the given head arity; codeMode selects code-vector dedup (sequential
-// unions) over an external TupleAdder (parallel workers). Callers
+// unions) over the parallel pool's shared ShardedTupleSet. Callers
 // release the state back to the pool when the union completes.
 func getBatchExec(arity int, codeMode bool) *batchExec {
 	e := batchExecPool.Get().(*batchExec)
@@ -377,31 +335,20 @@ func (e *batchExec) release() {
 	batchExecPool.Put(e)
 }
 
-// fallbackAdder returns the TupleAdder tuple-at-a-time branches of this
-// union must dedup through (code mode only).
-func (e *batchExec) fallbackAdder() relation.TupleAdder {
-	return &codeAdder{out: e.out, seen: e.codeSeen, buf: make([]int32, len(e.vecBuf))}
-}
-
-// run executes one branch through the batch kernel, yielding each
-// distinct answer. ran reports whether the kernel accepted the branch;
-// (false, nil) means a body relation lacks a current encoding and the
-// caller must fall back to streamInto with the union's shared dedup
-// state. adder is the dedup set in tuple mode and ignored in code mode.
-func (e *batchExec) run(ctx context.Context, p *Plan, adder relation.TupleAdder, yield func(relation.Tuple) bool) (ran bool, err error) {
-	if len(p.atoms) == 0 {
-		return false, nil
-	}
-	if !e.setup(p) {
-		return false, nil
-	}
+// run executes one branch, yielding each distinct answer. adder is the
+// dedup set in tuple mode and ignored in code mode. An already-dead
+// context fails before any work, even on joins smaller than one poll
+// interval. A zero-atom plan (q() :- ) sends its one empty binding
+// straight to the leaf, which yields the empty tuple once.
+func (e *batchExec) run(ctx context.Context, p *Plan, adder *relation.ShardedTupleSet, yield func(relation.Tuple) bool) error {
 	if err := ctx.Err(); err != nil {
-		return true, err
+		return err
 	}
+	e.setup(p)
 	e.plan, e.ctx, e.done, e.yield, e.adder, e.err = p, ctx, ctx.Done(), yield, adder, nil
 	e.credit, e.exam = ctxCheckInterval, batchSize
 	if e.empty {
-		return true, nil // a constant matches no row: zero answers, decided at setup
+		return nil // a constant matches no row: zero answers, decided at setup
 	}
 	var virtual slotBatch
 	virtual.n = 1
@@ -416,15 +363,14 @@ func (e *batchExec) run(ctx context.Context, p *Plan, adder relation.TupleAdder,
 			}
 		}
 	}
-	return true, e.err
+	return e.err
 }
 
-// setup compiles the plan against the relations' current encodings,
-// reusing the previous run's backing arrays. It returns false when any
-// body relation lacks an encoding; it sets e.empty when a constant in
-// the query does not occur in its column (the branch provably yields
-// nothing).
-func (e *batchExec) setup(p *Plan) bool {
+// setup compiles the plan against the relations' encodings (building
+// any that are missing), reusing the previous run's backing arrays. It
+// sets e.empty when a constant in the query does not occur in its
+// column (the branch provably yields nothing).
+func (e *batchExec) setup(p *Plan) {
 	natoms := len(p.atoms)
 	if cap(e.stages) < natoms {
 		e.stages = make([]batchStage, natoms)
@@ -446,25 +392,16 @@ func (e *batchExec) setup(p *Plan) bool {
 	}
 	for d := 0; d < natoms; d++ {
 		ap := &p.atoms[d]
-		dict := ap.rel.Encoding()
-		if dict == nil {
-			return false
-		}
+		dict := ap.rel.EnsureEncoding()
 		st := &e.stages[d]
 		*st = batchStage{dict: dict, nrows: dict.Len(), probeCol: ap.probeCol,
 			ops: st.ops[:0], cols: st.cols[:0]}
 		for c := 0; c < len(ap.rel.Schema.Attrs); c++ {
 			st.cols = append(st.cols, dict.Codes(c))
 		}
-		probeOpNeeded := false
 		if ap.probeCol >= 0 {
-			if ap.rel.Len() > 16 {
+			if dict.Len() > 16 {
 				st.idx = ap.rel.EnsureCodeIndex(ap.probeCol)
-				if st.idx == nil {
-					return false // encoding raced away; take the reference path
-				}
-			} else {
-				probeOpNeeded = true
 			}
 			if ap.probeIsVar {
 				st.probeIsVar = true
@@ -475,11 +412,11 @@ func (e *batchExec) setup(p *Plan) bool {
 				code, ok := dict.Code(ap.probeCol, ap.probeVal)
 				if !ok {
 					e.empty = true
-					return true
+					return
 				}
 				st.probeCode = code
 			}
-			if probeOpNeeded {
+			if st.idx == nil {
 				// Small relation, no index: the probe column becomes an
 				// ordinary check op over the scan.
 				if ap.probeIsVar {
@@ -489,7 +426,6 @@ func (e *batchExec) setup(p *Plan) bool {
 					st.ops = append(st.ops, batchOp{kind: bOpCheckConst, col: ap.probeCol,
 						constCode: st.probeCode})
 				}
-				st.idx = nil
 				st.probeIsVar = false
 			}
 		}
@@ -501,7 +437,7 @@ func (e *batchExec) setup(p *Plan) bool {
 				code, ok := dict.Code(op.col, op.val)
 				if !ok {
 					e.empty = true
-					return true
+					return
 				}
 				st.ops = append(st.ops, batchOp{kind: bOpCheckConst, col: op.col, constCode: code})
 			case opCheckSlot:
@@ -540,7 +476,6 @@ func (e *batchExec) setup(p *Plan) bool {
 			e.headMemo[j] = e.memoFor(e.headSrc[j], nil, j)
 		}
 	}
-	return true
 }
 
 // slotRef resolves a slot to the code space of its binding column using
@@ -683,10 +618,9 @@ func (e *batchExec) emitRow(d int, st *batchStage, out, in *slotBatch, i, copyWi
 // into the union's output code space (memoized per source code), the
 // code vector dedups through the shared CodeSet, and fresh answers
 // materialize as Tuples bump-allocated from the slab. In tuple mode the
-// answer decodes first and dedups through the external adder. A
+// answer decodes first and dedups through the shared sharded set. A
 // cancellation poll runs every ctxCheckInterval leaf rows, so a
-// cancelled consumer sees at most ctxCheckInterval+1 further yields —
-// the same promptness contract as the reference path.
+// cancelled consumer sees at most ctxCheckInterval+1 further yields.
 func (e *batchExec) leaf(in *slotBatch) bool {
 	hs := e.plan.headSlots
 	for i := 0; i < in.n; i++ {

@@ -13,11 +13,12 @@ import (
 )
 
 // This file is the batch kernel's differential harness: the columnar
-// path, the tuple-at-a-time reference path (ForceTupleAtATime), and the
-// map-bindings interpreter (EvalReference) are held to byte-identical
-// sorted wire encodings over randomized unions, and the dictionary's
-// lazy snapshot clones are raced against concurrent base-relation
-// growth. Run with -race.
+// kernel, sequential and parallel, is held to the map-bindings
+// interpreter (EvalReference) by byte-identical sorted wire encodings
+// over randomized unions; relations without an encoding are encoded on
+// first use, once, even under concurrent first queries; and the
+// dictionary's lazy snapshot clones are raced against concurrent
+// base-relation growth. Run with -race.
 
 // sortedWire renders an answer set as the concatenation of each tuple's
 // wire encoding in sorted order — a canonical form independent of
@@ -141,8 +142,7 @@ func runUnionWire(t *testing.T, plans []*Plan, opts ExecOptions) []byte {
 	return sortedWire(r.Rows())
 }
 
-// TestBatchDifferentialRandom holds the batch kernel, the
-// tuple-at-a-time path, and EvalReference to identical answer sets
+// TestBatchDifferentialRandom holds the batch kernel to EvalReference
 // (byte-identical sorted wire encodings) over randomized unions, in
 // sequential and parallel execution.
 func TestBatchDifferentialRandom(t *testing.T) {
@@ -161,10 +161,6 @@ func TestBatchDifferentialRandom(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: batch != reference for %v", trial, queries)
 		}
-		tup := runUnionWire(t, plans, ExecOptions{ForceTupleAtATime: true})
-		if !bytes.Equal(tup, want) {
-			t.Fatalf("trial %d: tuple-at-a-time != reference for %v", trial, queries)
-		}
 		par := runUnionWire(t, plans, ExecOptions{Parallelism: 4})
 		if !bytes.Equal(par, want) {
 			t.Fatalf("trial %d: parallel != reference for %v", trial, queries)
@@ -177,7 +173,7 @@ func TestBatchDifferentialRandom(t *testing.T) {
 
 // TestBatchDifferentialLimits checks that limited executions yield
 // exactly min(Limit, |answers|) distinct tuples, each drawn from the
-// reference answer set, on both kernels and in parallel mode.
+// reference answer set, sequentially and in parallel mode.
 func TestBatchDifferentialLimits(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
@@ -202,7 +198,6 @@ func TestBatchDifferentialLimits(t *testing.T) {
 		for _, limit := range []int{1, total/2 + 1, total + 5} {
 			for _, opts := range []ExecOptions{
 				{Limit: limit},
-				{Limit: limit, ForceTupleAtATime: true},
 				{Limit: limit, Parallelism: 4},
 			} {
 				r, err := MaterializeUnion(context.Background(), plans, opts)
@@ -227,52 +222,163 @@ func TestBatchDifferentialLimits(t *testing.T) {
 	}
 }
 
-// TestBatchMixedEncodedFallback joins an encoded relation with a
-// result-style relation that never maintains a dictionary encoding: the
-// branch over the unencoded relation must fall back tuple-at-a-time
-// while the eligible branch rides the kernel, with identical answers.
-func TestBatchMixedEncodedFallback(t *testing.T) {
+// unencodedKinds builds, for each kind of relation that carries no
+// dictionary encoding until the engine reads it — a NewResult relation,
+// a Project result, a Select result — a fresh 40-row binary relation
+// named name over a narrow value domain (enough rows that the kernel
+// builds code indexes over the lazy encoding).
+func unencodedKinds(t *testing.T, name string) map[string]*relation.Relation {
+	t.Helper()
+	binary := relation.Schema{Name: name,
+		Attrs: []relation.Attribute{relation.Attr("a"), relation.Attr("b")}}
+	wide := relation.New(relation.Schema{Name: name,
+		Attrs: []relation.Attribute{relation.Attr("a"), relation.Attr("b"), relation.Attr("c")}})
+	res := relation.NewResult(binary)
+	for i := 0; i < 40; i++ {
+		a := relation.SV(fmt.Sprintf("v%d", i%7))
+		b := relation.SV(fmt.Sprintf("v%d", (i*3+1)%7))
+		if err := res.Insert(relation.Tuple{a, b}); err != nil {
+			t.Fatal(err)
+		}
+		if err := wide.Insert(relation.Tuple{a, relation.SV(fmt.Sprintf("k%d", i)), b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proj, err := wide.Project("a", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := res.Select(func(relation.Tuple) bool { return true })
+	return map[string]*relation.Relation{"NewResult": res, "Project": proj, "Select": sel}
+}
+
+// lazyQueries join the relation with itself through an index probe and
+// filter it by a constant.
+var lazyQueries = []string{
+	"q(X, Y) :- r(X, Z), r(Z, Y)",
+	"q(X, Y) :- r(X, Y), r(Y, 'v1')",
+}
+
+// TestBatchLazyEncoding queries each kind of unencoded relation through
+// MaterializeUnion and through Eval. The answers must match
+// EvalReference, the first query must leave a current encoding behind,
+// and later queries must reuse that Dict rather than rebuild it.
+func TestBatchLazyEncoding(t *testing.T) {
+	paths := map[string]func(db *relation.Database, q Query) (*relation.Relation, error){
+		"MaterializeUnion": func(db *relation.Database, q Query) (*relation.Relation, error) {
+			p, err := Compile(db, q)
+			if err != nil {
+				return nil, err
+			}
+			return MaterializeUnion(context.Background(), []*Plan{p}, ExecOptions{})
+		},
+		"Eval": func(db *relation.Database, q Query) (*relation.Relation, error) {
+			return Eval(db, q)
+		},
+	}
+	for pathName, run := range paths {
+		for kind, r := range unencodedKinds(t, "r") {
+			if r.Encoding() != nil {
+				t.Fatalf("%s: relation already encoded before its first query", kind)
+			}
+			db := relation.NewDatabase()
+			db.Put(r)
+			var first *relation.Dict
+			for i, src := range lazyQueries {
+				q := MustParse(src)
+				want, _ := referenceUnionWire(t, db, []Query{q})
+				got, err := run(db, q)
+				if err != nil {
+					t.Fatalf("%s/%s: %s: %v", pathName, kind, q, err)
+				}
+				if !bytes.Equal(sortedWire(got.Rows()), want) {
+					t.Fatalf("%s/%s: %s: answers != reference", pathName, kind, q)
+				}
+				d := r.Encoding()
+				if d == nil || d.Len() != r.Len() {
+					t.Fatalf("%s/%s: after query %d the encoding does not cover the %d rows",
+						pathName, kind, i, r.Len())
+				}
+				if first == nil {
+					first = d
+				} else if d != first {
+					t.Fatalf("%s/%s: query %d rebuilt the encoding", pathName, kind, i)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchLazyEncodingRace runs eight first queries at once over one
+// shared unencoded relation of each kind: each must match
+// EvalReference, and all must end up reading one Dict. Run with -race.
+func TestBatchLazyEncodingRace(t *testing.T) {
+	q := MustParse(lazyQueries[0])
+	for kind, r := range unencodedKinds(t, "r") {
+		db := relation.NewDatabase()
+		db.Put(r)
+		want, _ := referenceUnionWire(t, db, []Query{q})
+		plans := compileAll(t, db, []Query{q})
+		if r.Encoding() != nil {
+			t.Fatalf("%s: relation already encoded before its first query", kind)
+		}
+		const workers = 8
+		got := make([][]byte, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				res, err := MaterializeUnion(context.Background(), plans, ExecOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w] = sortedWire(res.Rows())
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for w, g := range got {
+			if !bytes.Equal(g, want) {
+				t.Fatalf("%s: worker %d answers != reference", kind, w)
+			}
+		}
+		d := r.Encoding()
+		if d == nil || d.Len() != r.Len() {
+			t.Fatalf("%s: encoding does not cover the %d rows", kind, r.Len())
+		}
+		runUnionWire(t, plans, ExecOptions{})
+		if r.Encoding() != d {
+			t.Fatalf("%s: a later query rebuilt the encoding", kind)
+		}
+	}
+}
+
+// TestBatchZeroAtomPlan runs the empty-bodied query q() :- , which
+// holds exactly once: the kernel must yield one empty tuple, as
+// EvalReference does, with and without a limit.
+func TestBatchZeroAtomPlan(t *testing.T) {
 	db := relation.NewDatabase()
-	enc := relation.New(relation.Schema{
-		Name:  "enc",
-		Attrs: []relation.Attribute{relation.Attr("a"), relation.Attr("b")},
-	})
-	raw := relation.NewResult(relation.Schema{
-		Name:  "raw",
-		Attrs: []relation.Attribute{relation.Attr("a"), relation.Attr("b")},
-	})
-	for i := 0; i < 20; i++ {
-		a := relation.SV(fmt.Sprintf("v%d", i%5))
-		b := relation.SV(fmt.Sprintf("v%d", (i+1)%5))
-		if err := enc.Insert(relation.Tuple{a, b}); err != nil {
-			t.Fatal(err)
+	q := NewQuery("q", nil)
+	want, n := referenceUnionWire(t, db, []Query{q})
+	if n != 1 {
+		t.Fatalf("EvalReference yields %d tuples, want 1", n)
+	}
+	plans := compileAll(t, db, []Query{q})
+	for _, opts := range []ExecOptions{{}, {Limit: 1}} {
+		r, err := MaterializeUnion(context.Background(), plans, opts)
+		if err != nil {
+			t.Fatalf("opts %+v: %v", opts, err)
 		}
-		if err := raw.Insert(relation.Tuple{b, a}); err != nil {
-			t.Fatal(err)
+		if r.Len() != 1 || len(r.Row(0)) != 0 {
+			t.Fatalf("opts %+v: got %v, want one empty tuple", opts, r.Rows())
 		}
-	}
-	db.Put(enc)
-	db.Put(raw)
-	queries := []Query{
-		MustParse("q(X, Y) :- enc(X, Z), enc(Z, Y)"),
-		MustParse("q(X, Y) :- raw(X, Z), raw(Z, Y)"),
-	}
-	want, _ := referenceUnionWire(t, db, queries)
-	plans := compileAll(t, db, queries)
-	if !plans[0].BatchEligible() {
-		t.Fatal("encoded branch not batch-eligible")
-	}
-	if plans[1].BatchEligible() {
-		t.Fatal("unencoded branch claims batch eligibility")
-	}
-	var kernels KernelCounts
-	got := runUnionWire(t, plans, ExecOptions{Kernels: &kernels})
-	if !bytes.Equal(got, want) {
-		t.Fatal("mixed-kernel union != reference")
-	}
-	if kernels.Batch() != 1 || kernels.Fallback() != 1 {
-		t.Fatalf("kernels = %d batch / %d fallback, want 1/1",
-			kernels.Batch(), kernels.Fallback())
+		if !bytes.Equal(sortedWire(r.Rows()), want) {
+			t.Fatalf("opts %+v: answers != reference", opts)
+		}
 	}
 }
 

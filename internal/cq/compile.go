@@ -7,14 +7,14 @@ import (
 	"repro/internal/relation"
 )
 
-// This file implements the compiled execution engine. Compile resolves
-// every variable of a query to a fixed integer slot once, fixes a join
-// order at compile time — cost-based from relation statistics when they
-// are available, the static greedy heuristic otherwise (see planner.go)
-// — and precomputes a probe plan per atom. Exec then enumerates the
-// join over a single flat []relation.Value slot row — no per-binding
-// maps, no per-row map copies — probing hash indexes keyed directly on
-// Value.
+// This file compiles conjunctive queries into execution plans. Compile
+// resolves every variable of a query to a fixed integer slot once,
+// fixes a join order at compile time — cost-based from relation
+// statistics when they are available, the static greedy heuristic
+// otherwise (see planner.go) — and precomputes a probe plan per atom:
+// the probe column and the per-column bind/check ops. The columnar
+// batch kernel (batch.go) executes plans; Exec and ExecUnion are its
+// materializing wrappers.
 
 // opKind says what an atom column contributes during enumeration.
 type opKind uint8
@@ -40,7 +40,7 @@ type slotOp struct {
 // an optional index column (probeCol >= 0), and the column ops.
 type atomPlan struct {
 	rel        *relation.Relation
-	probeCol   int // column to probe via hash index, -1 → full scan
+	probeCol   int // column to probe via code index, -1 → full scan
 	probeSlot  int // slot holding the probe value when probeIsVar
 	probeVal   relation.Value
 	probeIsVar bool
@@ -215,55 +215,11 @@ func (p *Plan) HeadSchema() relation.Schema {
 	return relation.Schema{Name: p.query.HeadPred, Attrs: p.headAttrs}
 }
 
-// execState carries the per-execution mutable state so the recursive
-// join allocates only the slot row and the answer tuples. Answers are
-// pushed through yield as they are found; yield returning false stops
-// the enumeration (consumer break, limit reached). When done is
-// non-nil, cancellation is polled every ctxCheckInterval rows examined.
-type execState struct {
-	plan    *Plan
-	indexed []bool
-	slots   []relation.Value
-	seen    relation.TupleAdder
-	yield   func(relation.Tuple) bool
-	ctx     context.Context
-	done    <-chan struct{}
-	credit  int
-	stop    bool
-	err     error
-}
-
-// ctxCheckInterval is how many candidate rows the join examines between
-// cancellation polls — small enough that cancellation is prompt, large
-// enough that the select never shows up in profiles.
-const ctxCheckInterval = 256
-
 // Exec runs the plan and returns the deduplicated head projection. The
 // result is an answer relation: it carries no column statistics (see
-// relation.NewResult). Execution goes through the streaming union path,
-// so it rides the columnar batch kernel whenever the body relations are
-// dictionary-encoded; ExecInto remains the tuple-at-a-time reference
-// materializer.
+// relation.NewResult).
 func (p *Plan) Exec() (*relation.Relation, error) {
 	return MaterializeUnion(context.Background(), []*Plan{p}, ExecOptions{})
-}
-
-// ExecInto runs the plan appending deduplicated answers to out (sharing
-// its seen-set), the hash-set accumulation EvalUnion uses instead of
-// repeated Dedup passes. out must have arity len(headSlots).
-func (p *Plan) ExecInto(out *relation.Relation, seen *relation.TupleSet) error {
-	var insertErr error
-	err := p.streamInto(context.Background(), seen, func(t relation.Tuple) bool {
-		if e := out.Insert(t); e != nil {
-			insertErr = e
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	return insertErr
 }
 
 // ExecUnion executes precompiled plans as a union of conjunctive
@@ -272,127 +228,4 @@ func (p *Plan) ExecInto(out *relation.Relation, seen *relation.TupleSet) error {
 // share head arity.
 func ExecUnion(plans []*Plan) (*relation.Relation, error) {
 	return MaterializeUnion(context.Background(), plans, ExecOptions{})
-}
-
-// streamInto enumerates the join, pushing each answer absent from seen
-// through yield. It returns ctx's error if execution was cancelled;
-// yield returning false stops enumeration without error. The upfront
-// check makes an already-dead context fail deterministically even on
-// joins smaller than one poll interval. seen may be shared with other
-// executions running concurrently (it is only ever Added to).
-func (p *Plan) streamInto(ctx context.Context, seen relation.TupleAdder, yield func(relation.Tuple) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	e := &execState{
-		plan:    p,
-		indexed: make([]bool, len(p.atoms)),
-		slots:   make([]relation.Value, p.nslots),
-		seen:    seen,
-		yield:   yield,
-		ctx:     ctx,
-		done:    ctx.Done(),
-		credit:  ctxCheckInterval,
-	}
-	for i, ap := range p.atoms {
-		if ap.probeCol >= 0 && ap.rel.Len() > 16 {
-			// Atomic check-and-build: plans executing concurrently may
-			// share relations through a cached snapshot.
-			ap.rel.EnsureIndex(ap.probeCol)
-			e.indexed[i] = true
-		}
-	}
-	e.join(0)
-	return e.err
-}
-
-// tick polls cancellation every ctxCheckInterval examined rows — a
-// decrement-to-zero credit counter, cheaper per row than the modulo it
-// replaced; it is a no-op for contexts that can never be cancelled
-// (done == nil).
-func (e *execState) tick() {
-	if e.done == nil {
-		return
-	}
-	e.credit--
-	if e.credit > 0 {
-		return
-	}
-	e.credit = ctxCheckInterval
-	select {
-	case <-e.done:
-		e.err = e.ctx.Err()
-		e.stop = true
-	default:
-	}
-}
-
-// join enumerates matches for atom d and recurses; at the leaf it
-// projects the head slots into an answer tuple.
-func (e *execState) join(d int) {
-	if e.stop {
-		return
-	}
-	if d == len(e.plan.atoms) {
-		t := make(relation.Tuple, len(e.plan.headSlots))
-		for i, s := range e.plan.headSlots {
-			t[i] = e.slots[s]
-		}
-		if e.seen.Add(t) && !e.yield(t) {
-			e.stop = true
-		}
-		return
-	}
-	ap := &e.plan.atoms[d]
-	if e.indexed[d] {
-		v := ap.probeVal
-		if ap.probeIsVar {
-			v = e.slots[ap.probeSlot]
-		}
-		for _, id := range ap.rel.Lookup(ap.probeCol, v) {
-			if e.tick(); e.stop {
-				return
-			}
-			e.tryRow(d, ap, ap.rel.Row(id))
-		}
-		return
-	}
-	// Full scan: iterate rows directly — no materialized id slices. The
-	// probe column (if any) is checked inline.
-	for _, row := range ap.rel.Rows() {
-		if e.tick(); e.stop {
-			return
-		}
-		if ap.probeCol >= 0 {
-			if ap.probeIsVar {
-				if row[ap.probeCol] != e.slots[ap.probeSlot] {
-					continue
-				}
-			} else if row[ap.probeCol] != ap.probeVal {
-				continue
-			}
-		}
-		e.tryRow(d, ap, row)
-	}
-}
-
-// tryRow applies atom d's column ops to row; on success it recurses.
-// Slots written here are rebound on the next row, so no undo is needed:
-// a slot is only read by ops compiled after its binding atom.
-func (e *execState) tryRow(d int, ap *atomPlan, row relation.Tuple) {
-	for _, op := range ap.ops {
-		switch op.kind {
-		case opBind:
-			e.slots[op.slot] = row[op.col]
-		case opCheckSlot:
-			if row[op.col] != e.slots[op.slot] {
-				return
-			}
-		case opCheckConst:
-			if row[op.col] != op.val {
-				return
-			}
-		}
-	}
-	e.join(d + 1)
 }

@@ -93,8 +93,8 @@ const parallelBatch = 32
 // Protocol:
 //   - Workers claim branch indexes from a shared atomic cursor and run
 //     each branch's join against a branch context derived from ctx.
-//   - Deduplication happens inside the join (streamInto adds to the
-//     shared sharded set before yielding), so each distinct tuple
+//   - Deduplication happens inside the join (the kernel's leaf adds to
+//     the shared sharded set before yielding), so each distinct tuple
 //     surfaces in exactly one worker.
 //   - With a limit, a surfacing tuple claims a delivery slot from the
 //     shared counter; claims beyond the limit are dropped, and the
@@ -166,20 +166,11 @@ func streamUnionParallel(ctx context.Context, plans []*Plan, opts ExecOptions, p
 					}
 					return true
 				}
-				ran := false
-				var err error
-				if !opts.ForceTupleAtATime {
-					if be == nil {
-						be = getBatchExec(len(plans[i].headSlots), false)
-					}
-					ran, err = be.run(bctx, plans[i], seen, workerYield)
+				if be == nil {
+					be = getBatchExec(len(plans[i].headSlots), false)
 				}
-				if err == nil && !ran {
-					opts.Kernels.noteFallback()
-					err = plans[i].streamInto(bctx, seen, workerYield)
-				} else if ran {
-					opts.Kernels.noteBatch()
-				}
+				err := be.run(bctx, plans[i], seen, workerYield)
+				opts.Kernels.noteBatch()
 				// Flush before looking at err: slot-claiming tuples
 				// buffered by a branch that was then cancelled (limit
 				// filled elsewhere) must still reach the consumer.

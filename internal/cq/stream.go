@@ -9,12 +9,12 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the streaming face of the compiled engine. The recursive
-// join in compile.go already produces answers one at a time; Stream and
-// StreamUnion route them through a caller-supplied yield instead of
-// materializing a relation, with cooperative cancellation (ctx is
-// polled every ctxCheckInterval rows examined) and an optional distinct-
-// answer limit that aborts the join tree as soon as it is reached.
+// This file is the streaming face of the compiled engine. The batch
+// kernel (batch.go) produces each distinct answer as its leaf decodes
+// it; Stream and StreamUnion route answers through a caller-supplied
+// yield instead of materializing a relation, with cooperative
+// cancellation (ctx is polled at batch boundaries) and an optional
+// distinct-answer limit that aborts the join as soon as it is reached.
 // Exec/ExecUnion/Eval remain as thin materializing wrappers.
 
 // ExecOptions tunes one streaming execution.
@@ -27,21 +27,13 @@ type ExecOptions struct {
 	// Parallelism is the number of union branches executing
 	// concurrently. 0 = auto: up to GOMAXPROCS workers when the union
 	// is wide and heavy enough to pay for the fan-in machinery, else
-	// sequential. 1 = always the sequential reference path. N > 1
-	// forces a pool of N workers (capped at the branch count). Answers
-	// of a parallel union arrive in nondeterministic order; the answer
-	// set, deduplication, and Limit exactness are identical to
-	// sequential execution.
+	// sequential. 1 = always sequential. N > 1 forces a pool of N
+	// workers (capped at the branch count). Answers of a parallel union
+	// arrive in nondeterministic order; the answer set, deduplication,
+	// and Limit exactness are identical to sequential execution.
 	Parallelism int
-	// ForceTupleAtATime disables the columnar batch kernel, running
-	// every branch on the tuple-at-a-time reference path — the
-	// differential mode the batch kernel is held to, playing the role
-	// CompileOptions.ForceGreedy plays for the planner. Branches over
-	// relations without a current dictionary encoding take that path
-	// regardless.
-	ForceTupleAtATime bool
 	// Kernels, when non-nil, counts how many branches of this execution
-	// ran the batch kernel vs the tuple-at-a-time fallback.
+	// ran on the batch kernel.
 	Kernels *KernelCounts
 }
 
@@ -91,19 +83,9 @@ func StreamUnionOpts(ctx context.Context, plans []*Plan, opts ExecOptions, yield
 	if par := effectiveParallelism(plans, opts); par > 1 {
 		return streamUnionParallel(ctx, plans, opts, par, yield)
 	}
-	// Dedup state: when any branch can ride the batch kernel, the union
-	// dedups over code vectors in one shared output encoding (fallback
-	// branches adapt through codeAdder); a pure tuple-at-a-time union
-	// keeps the plain TupleSet.
-	var be *batchExec
-	var seen relation.TupleAdder
-	if !opts.ForceTupleAtATime && anyBatchEligible(plans) {
-		be = getBatchExec(arity, true)
-		defer be.release()
-		seen = be.fallbackAdder()
-	} else {
-		seen = relation.NewTupleSet(16)
-	}
+	// The union dedups over code vectors in one shared output encoding.
+	be := getBatchExec(arity, true)
+	defer be.release()
 	stopped := false
 	emitted := 0
 	inner := func(t relation.Tuple) bool {
@@ -119,17 +101,8 @@ func StreamUnionOpts(ctx context.Context, plans []*Plan, opts ExecOptions, yield
 		return true
 	}
 	for _, p := range plans {
-		ran := false
-		var err error
-		if be != nil {
-			ran, err = be.run(ctx, p, nil, inner)
-		}
-		if err == nil && !ran {
-			opts.Kernels.noteFallback()
-			err = p.streamInto(ctx, seen, inner)
-		} else if ran {
-			opts.Kernels.noteBatch()
-		}
+		err := be.run(ctx, p, nil, inner)
+		opts.Kernels.noteBatch()
 		if err != nil {
 			return err
 		}
@@ -138,18 +111,6 @@ func StreamUnionOpts(ctx context.Context, plans []*Plan, opts ExecOptions, yield
 		}
 	}
 	return nil
-}
-
-// anyBatchEligible reports whether at least one branch can take the
-// batch kernel right now — the cue to set the union's dedup state up in
-// code space.
-func anyBatchEligible(plans []*Plan) bool {
-	for _, p := range plans {
-		if p.BatchEligible() {
-			return true
-		}
-	}
-	return false
 }
 
 // plansCheapestFirst returns the plans ordered by ascending estimated

@@ -134,13 +134,11 @@ func (c *Cursor) Rewritings() []cq.Query {
 }
 
 // Stats returns the reformulation statistics (available immediately).
-// The execution-side counters — BatchBranches and FallbackBranches —
-// fill in as branches run; read them after draining the cursor for
-// final values.
+// The execution-side counter BatchBranches fills in as branches run;
+// read it after draining the cursor for the final value.
 func (c *Cursor) Stats() ReformStats {
 	s := c.stats
 	s.BatchBranches = c.kernels.Batch()
-	s.FallbackBranches = c.kernels.Fallback()
 	return s
 }
 
@@ -173,12 +171,10 @@ func (c *Cursor) SyncPaths() []SyncPath {
 }
 
 // Explain renders the compiled execution plan of every rewriting branch
-// — the join order the planner chose, each atom's access path, the cost
-// estimates, and which kernel the branch would ride (batch when every
-// relation it reads has a current dictionary encoding, else the
-// tuple-at-a-time fallback) — without executing anything. Branches
-// print in reformulation order; limited executions run them
-// cheapest-first.
+// — the join order the planner chose, each atom's access path, and the
+// cost estimates — without executing anything, followed by the sync
+// path each refreshed remote relation took. Branches print in
+// reformulation order; limited executions run them cheapest-first.
 func (c *Cursor) Explain() string {
 	if len(c.plans) == 0 {
 		return "no rewriting reaches stored data\n"
@@ -191,11 +187,7 @@ func (c *Cursor) Explain() string {
 	fmt.Fprintf(&b, "union of %d branch(es), est total cost %.1f rows\n",
 		len(c.plans), total)
 	for i, p := range c.plans {
-		kernel := "tuple"
-		if p.BatchEligible() {
-			kernel = "batch"
-		}
-		fmt.Fprintf(&b, "branch %d [kernel=%s]: %s", i, kernel, p.Explain())
+		fmt.Fprintf(&b, "branch %d: %s", i, p.Explain())
 	}
 	for _, sp := range c.syncPaths {
 		fmt.Fprintf(&b, "sync %s.%s via %s\n", sp.Peer, sp.Rel, sp.Path)

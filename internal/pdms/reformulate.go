@@ -67,12 +67,11 @@ type ReformStats struct {
 	// rewritings read — the number of peers contacted at execution.
 	PeersTouched int
 	// BatchBranches counts union branches executed on the columnar batch
-	// kernel. Zero until the cursor has executed (Cursor.Stats fills it
-	// live from the engine's counters).
+	// kernel — every executed branch. Zero until the cursor has executed
+	// (Cursor.Stats fills it live from the engine's counter).
 	BatchBranches int
-	// FallbackBranches counts union branches executed on the
-	// tuple-at-a-time reference path, typically because a relation they
-	// read has no current dictionary encoding.
+	// FallbackBranches is always 0: the batch kernel runs every branch.
+	// It remains for readers built against the two-engine counters.
 	FallbackBranches int
 }
 

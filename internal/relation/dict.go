@@ -15,10 +15,11 @@ import "sync"
 // before but matches no row. Delete re-encodes from scratch only once
 // the rows it removed since the last full encode exceed the live row
 // count, so the dictionary stays within about twice its live size.
-// Reordering rows (SortRows) re-encodes. The encoding is abandoned for
-// relations whose rows were appended without Insert (Project, Select
-// results), which the engine detects via Encoding returning nil and
-// answers tuple-at-a-time instead.
+// Reordering rows (SortRows) re-encodes. Relations whose rows were
+// appended without Insert (Project, Select results) and NewResult
+// relations carry no encoding until the engine first reads them:
+// EnsureEncoding builds it from the rows then, and Insert maintains it
+// from there on.
 //
 // Codes are stable for the life of a Dict: dictionaries only grow, and
 // a full re-encode installs a new Dict rather than renumbering the old
@@ -184,9 +185,9 @@ func (d *Dict) clone() *Dict {
 }
 
 // Encoding returns the relation's dictionary encoding, or nil when one
-// is not currently maintained — rows were appended without Insert, or a
-// NewResult relation opted out. A non-nil Dict covers exactly the
-// current rows. The check is lock-protected, but reading the returned
+// is not current — rows were appended without Insert, or a NewResult
+// relation has not been read by the engine yet (see EnsureEncoding). A
+// non-nil Dict covers exactly the current rows. The check is lock-protected, but reading the returned
 // Dict concurrently with mutations requires external synchronization,
 // like Rows.
 func (r *Relation) Encoding() *Dict {
@@ -199,6 +200,30 @@ func (r *Relation) Encoding() *Dict {
 		// Valid but empty (no Insert yet): hand the kernel a real,
 		// all-empty view so empty relations stay batch-eligible.
 		return newDict(r.Schema.Arity())
+	}
+	return r.dict
+}
+
+// EnsureEncoding returns the relation's dictionary encoding, building
+// it from the current rows first when none is current — a NewResult
+// relation, a Project or Select result, or rows appended without
+// Insert. It is the batch kernel's only way to get an encoding. The
+// common case costs one read lock, so warm readers sharing a relation
+// never serialize on it; a build takes the write lock and re-checks,
+// so concurrent first readers build once and share the result. From
+// then on Insert maintains the encoding. The build adds no statistics
+// (valid statistics still imply a current encoding, never the reverse)
+// and is not a mutation: Version is unchanged. Reading the returned
+// Dict concurrently with mutations requires external synchronization,
+// like Encoding.
+func (r *Relation) EnsureEncoding() *Dict {
+	if d := r.Encoding(); d != nil {
+		return d
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.encRows != len(r.rows) || r.dict == nil {
+		r.rebuildEncodingLocked()
 	}
 	return r.dict
 }
@@ -224,9 +249,9 @@ func (r *Relation) addEncodingLocked(t Tuple, id int) {
 }
 
 // rebuildEncodingLocked recomputes the dictionary encoding from the
-// current rows into a new Dict (after a reorder invalidated the
-// positional one, or dead codes piled up), dropping every dead code.
-// Caller holds r.mu.
+// current rows into a new Dict (on first use by EnsureEncoding, after a
+// reorder invalidated the positional one, or once dead codes piled
+// up), dropping every dead code. Caller holds r.mu.
 func (r *Relation) rebuildEncodingLocked() {
 	r.dict = newDict(r.Schema.Arity())
 	r.dead = 0

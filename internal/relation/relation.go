@@ -59,13 +59,14 @@ func New(schema Schema) *Relation {
 	return &Relation{Schema: schema}
 }
 
-// NewResult creates an empty relation that never maintains column
-// statistics or a dictionary encoding — intended for answer/result
-// relations, which are consumed by the caller rather than joined
-// against again, so per-insert value hashing would be pure overhead on
-// the serving hot path. A planner compiling a query against such a
-// relation falls back to the statistics-free greedy order, and the
-// engine to the tuple-at-a-time kernel.
+// NewResult creates an empty relation that maintains no column
+// statistics and no dictionary encoding as rows are inserted —
+// intended for answer/result relations, which are usually consumed by
+// the caller rather than joined against again, so per-insert value
+// hashing would be pure overhead on the serving hot path. A planner
+// compiling a query against such a relation uses the statistics-free
+// greedy order, and the engine encodes it on first read (see
+// EnsureEncoding); Insert maintains that encoding afterwards.
 func NewResult(schema Schema) *Relation {
 	return &Relation{Schema: schema, statRows: -1, encRows: -1}
 }
@@ -242,8 +243,10 @@ func (r *Relation) Count(t Tuple) int {
 // resolved once, and a value absent from its column's dictionary means
 // no row can match.
 func (r *Relation) eachMatch(t Tuple, fn func(id int)) {
-	d := r.dict
-	if r.encRows != len(r.rows) || d == nil || len(t) == 0 || len(t) != len(d.cols) {
+	r.mu.RLock() // EnsureEncoding may install a Dict concurrently
+	d, encValid := r.dict, r.encRows == len(r.rows)
+	r.mu.RUnlock()
+	if !encValid || d == nil || len(t) == 0 || len(t) != len(d.cols) {
 		for i, row := range r.rows {
 			if row.Equal(t) {
 				fn(i)
@@ -480,6 +483,7 @@ func (r *Relation) Clone() *Relation {
 	for i, row := range r.rows {
 		out.rows[i] = row.Clone()
 	}
+	r.mu.RLock()
 	if r.statRows == len(r.rows) {
 		out.sketches = cloneSketches(r.sketches)
 		out.statRows = len(out.rows)
@@ -489,6 +493,7 @@ func (r *Relation) Clone() *Relation {
 		out.encRows = len(out.rows)
 		out.dead = r.dead
 	}
+	r.mu.RUnlock()
 	return out
 }
 

@@ -1,13 +1,5 @@
 package relation
 
-// TupleAdder is the deduplication interface the join engine streams
-// answers through: Add inserts a tuple and reports whether it was
-// absent. TupleSet implements it for single-goroutine execution;
-// ShardedTupleSet implements it for concurrent union branches.
-type TupleAdder interface {
-	Add(Tuple) bool
-}
-
 // TupleMap maps tuples to values of type V. It buckets by Tuple.Hash
 // and confirms a key with an exact comparison, so it never allocates
 // per-probe key strings the way a map[string]V over Tuple.Key would.
