@@ -69,8 +69,24 @@ func del(ver uint64, rows int, t relation.Tuple) relation.ChangeRecord {
 	return relation.ChangeRecord{Op: relation.ChangeDelete, Rel: "subject", Ver: ver, Rows: rows, Tuple: t}
 }
 
-// TestApplyDeltaRejectsAtomically feeds applyDelta batches that fail
-// verification — most of them only after records that would have
+// verifyThenReplay runs a batch through the production apply sequence —
+// verifyDelta, then, only when it accepts the batch, the shared replay —
+// with r as mit's subject replica at fingerprint have, and returns the
+// fingerprint the replica landed on.
+func verifyThenReplay(r *relation.Relation, have, want remoteFP, recs []relation.ChangeRecord) (remoteFP, error) {
+	fp, err := verifyDelta(r, "subject", have, want, recs)
+	if err != nil {
+		return remoteFP{}, err
+	}
+	mirror := NewPeer("mit", r.Schema)
+	mirror.Store.Put(r)
+	rp := &RemotePeer{name: "mit", mirror: mirror, replicas: map[string]replica{"subject": {fp: have}}}
+	NewNetwork().replay(rp, "subject", recs, replica{fp: fp})
+	return rp.replicas["subject"].fp, nil
+}
+
+// TestApplyDeltaRejectsAtomically feeds verifyThenReplay batches that
+// fail verification — most of them only after records that would have
 // applied cleanly — and requires each to leave the replica exactly as
 // it was. The replica holds 4 rows at remote version 10.
 func TestApplyDeltaRejectsAtomically(t *testing.T) {
@@ -106,8 +122,8 @@ func TestApplyDeltaRejectsAtomically(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := subjectReplica()
 			before := captureReplica(r)
-			if fp, err := applyDelta(r, "subject", have, tc.want, tc.recs); err == nil {
-				t.Fatalf("applyDelta accepted the batch, landing on %+v", fp)
+			if fp, err := verifyThenReplay(r, have, tc.want, tc.recs); err == nil {
+				t.Fatalf("verifyDelta accepted the batch, landing on %+v", fp)
 			}
 			before.check(t, r, "after a rejected batch")
 		})
@@ -130,7 +146,7 @@ func TestApplyDeltaBagAccounting(t *testing.T) {
 		del(16, 1, logic), // the replica's only copy
 		ins(17, 2, subjectRow("DB", 60)),
 	}
-	fp, err := applyDelta(r, "subject", remoteFP{ver: 10, rows: 4}, remoteFP{ver: 17}, recs)
+	fp, err := verifyThenReplay(r, remoteFP{ver: 10, rows: 4}, remoteFP{ver: 17}, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +232,7 @@ func replicaOf(n *Network) (*relation.Relation, bool) {
 	n.remoteMu.RLock()
 	defer n.remoteMu.RUnlock()
 	rp := n.remotes["mit"]
-	_, ok := rp.fetched["subject"]
+	_, ok := rp.replicas["subject"]
 	return rp.mirror.Store.Get("subject"), ok
 }
 

@@ -8,9 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/glav"
 	"repro/internal/relation"
-	"repro/internal/view"
 )
 
 // This file implements push-based replication (ROADMAP item 2): instead
@@ -20,11 +18,11 @@ import (
 // read scaling. The serving half is the ChangeFeed (a per-subscriber
 // bounded queue fed at commit time under the serving write lock, never
 // blocking it) plus Peer.FeedSubscribe; the coordinator half is
-// Network.StartPush, whose loop applies pushed records to mirror
-// replicas through the same verified replay the delta pull path uses,
-// keeps the remote fingerprints current so queries skip the State probe
-// entirely, and propagates applied changes through the dormant
-// updategram path into placed materialized views. A subscriber that
+// Network.StartPush, whose loop verifies pushed records and hands them
+// to replay — the one function the delta pull path also ends in, which
+// applies them to the mirror replica and maintains placed materialized
+// views through the updategram path — and keeps the remote fingerprints
+// current so queries skip the State probe entirely. A subscriber that
 // drains too slowly is evicted (typed ErrSubscriptionGap) back to the
 // poll path and may resubscribe once its replicas healed.
 
@@ -237,14 +235,13 @@ const (
 // StartPush launches the push subscription manager for one remote peer:
 // a goroutine that subscribes through the peer's transport (which must
 // implement PushTransport), applies pushed change records to the
-// mirror's replicas through the same verified replay the delta pull
-// path uses, keeps the remote fingerprints current (so queries skip the
-// per-query State probe while the subscription is live — see
-// RemotePeer.PushLive), propagates applied changes through the
-// updategram path into placed materialized views, and resubscribes with
-// backoff after gaps and transport failures. It returns after starting
-// the manager; StopPush (or ctx cancellation) ends it. Starting an
-// already-started peer is an error.
+// mirror's replicas and placed materialized views through the replay
+// the delta pull path uses, keeps the remote fingerprints current (so
+// queries skip the per-query State probe while the subscription is
+// live — see RemotePeer.PushLive), and resubscribes with backoff after
+// gaps and transport failures. It returns after starting the manager;
+// StopPush (or ctx cancellation) ends it. Starting an already-started
+// peer is an error.
 func (n *Network) StartPush(ctx context.Context, peer string) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -349,21 +346,25 @@ func (n *Network) pushLoop(ctx context.Context, rp *RemotePeer, pt PushTransport
 func (n *Network) pushSince(rp *RemotePeer) map[string]uint64 {
 	n.remoteMu.RLock()
 	defer n.remoteMu.RUnlock()
-	out := make(map[string]uint64, len(rp.fetched))
-	for rel, fp := range rp.fetched {
-		out[rel] = fp.ver
+	out := make(map[string]uint64, len(rp.replicas))
+	for rel, cur := range rp.replicas {
+		out[rel] = cur.fp.ver
 	}
 	return out
 }
 
 // pushAck handles the subscription's acknowledging fingerprint: it
-// anchors the remote fingerprints at the subscribe point (from here on
-// pushed records keep them current), folds remote schema growth into
-// the mirror, resurrects a down peer, and flips the peer to push-live
-// so queries skip the State probe.
+// adopts it exactly like a State probe's answer — anchoring the remote
+// fingerprints at the subscribe point (from here on pushed records keep
+// them current), folding remote schema growth into the mirror and
+// resurrecting a down peer — and flips the peer to push-live so queries
+// skip the State probe.
 func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) error {
+	n.remoteMu.RLock()
+	moved := st.SchemaVersion != rp.schemaVer
+	n.remoteMu.RUnlock()
 	var schemas []relation.Schema
-	if st.SchemaVersion != rp.schemaVerLoad(n) {
+	if moved {
 		var err error
 		if schemas, err = rp.tr.Schemas(ctx, rp.name); err != nil {
 			return err
@@ -371,41 +372,19 @@ func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) err
 	}
 	n.remoteMu.Lock()
 	defer n.remoteMu.Unlock()
-	for _, s := range schemas {
-		if !rp.mirror.HasRelation(s.Name) {
-			rp.mirror.AddSchema(s)
-		}
-	}
-	if schemas != nil {
-		rp.schemaVer = st.SchemaVersion
-	}
-	rp.setLatest(st)
-	rp.lastSync = time.Now()
-	rp.lastErr = nil
-	rp.down.Store(false)
+	rp.adoptState(st, schemas)
 	rp.pushLive.Store(true)
 	return nil
-}
-
-// schemaVerLoad reads the mirror's synced schema version under the
-// network's remote lock (the field itself is remoteMu-guarded).
-func (rp *RemotePeer) schemaVerLoad(n *Network) uint64 {
-	n.remoteMu.RLock()
-	defer n.remoteMu.RUnlock()
-	return rp.schemaVer
 }
 
 // applyPushBatch applies one pushed change batch under the remote lock:
 // schema records grow the mirror, data records advance the remote
 // fingerprints, and records for relations with a replica are verified
-// and then replayed onto it in place, exactly as the delta pull path
-// does (applyDelta) — a batch that fails verification leaves the
-// replica untouched and drops its fingerprint, so the next query
-// re-fetches it through the poll path. Applied changes then flow
-// through the updategram path into placed materialized views, relation
-// by relation, between a global snapshot taken before the apply and
-// one taken after — incremental maintenance instead of re-derivation,
-// with a full refresh as the correctness fallback.
+// and then handed to replay, which applies them in place and maintains
+// placed materialized views — the same function the delta pull path
+// ends in. A batch that fails verification leaves the replica untouched
+// and drops its fingerprint, so the next query re-fetches it through
+// the poll path.
 func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) error {
 	n.pushBatches.Add(1)
 	n.pushRecords.Add(uint64(len(recs)))
@@ -433,60 +412,35 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 	for _, rel := range order {
 		relRecs := byRel[rel]
 		last := relRecs[len(relRecs)-1]
-		fp := remoteFP{ver: last.Ver, rows: last.Rows}
-		rp.latest[rel] = fp
-		st := rp.latestStats[rel]
+		st := rp.latest[rel]
 		st.Rows, st.Version = last.Rows, last.Ver
-		rp.latestStats[rel] = st
-		have, hasReplica := rp.fetched[rel]
+		rp.latest[rel] = st
+		cur, hasReplica := rp.replicas[rel]
 		if !hasReplica {
 			continue // fingerprint-only relation: nothing local to maintain
 		}
 		// Skip records the replica already reflects (catch-up overlap
 		// after a resubscribe), then replay the rest verified.
 		todo := relRecs
-		for len(todo) > 0 && todo[0].Ver <= have.ver {
+		for len(todo) > 0 && todo[0].Ver <= cur.fp.ver {
 			todo = todo[1:]
 		}
 		if len(todo) == 0 {
-			if have == fp {
-				rp.pushFresh[rel] = true
+			if cur.fp == (remoteFP{ver: last.Ver, rows: last.Rows}) {
+				rp.replicas[rel] = replica{fp: cur.fp, pushed: true}
 			}
 			continue
 		}
-		var pre *relation.Database
-		if n.hasSubs() {
-			// The updategram's pre-state: taken before the in-place apply,
-			// which the snapshot's copies do not see.
-			pre = n.globalSnapshot()
-		}
-		got, err := applyDelta(rp.mirror.Store.Get(rel), rel, have, remoteFP{}, todo)
+		got, err := verifyDelta(rp.mirror.Store.Get(rel), rel, cur.fp, remoteFP{}, todo)
 		if err != nil {
 			// Inconsistent with the replica (e.g. the subscription started
 			// past a gap the replica predates): the replica is untouched;
 			// drop its fingerprint so the poll path re-fetches it, and keep
 			// streaming.
-			delete(rp.fetched, rel)
-			delete(rp.pushFresh, rel)
+			delete(rp.replicas, rel)
 			continue
 		}
-		rp.fetched[rel] = got
-		rp.pushFresh[rel] = true
-		if pre != nil {
-			u := view.Updategram{Relation: glav.QualifiedName(rp.name, rel)}
-			for _, rec := range todo {
-				switch rec.Op {
-				case relation.ChangeInsert:
-					u.Inserts = append(u.Inserts, rec.Tuple)
-				case relation.ChangeDelete:
-					u.Deletes = append(u.Deletes, rec.Tuple)
-				}
-			}
-			post := n.globalSnapshot()
-			if err := n.fanoutViews(pre, post, u, &PublishStats{}); err != nil {
-				n.refreshViews(post) // full re-derivation is the fallback truth
-			}
-		}
+		n.replay(rp, rel, todo, replica{fp: got, pushed: true})
 	}
 	return nil
 }
@@ -537,10 +491,9 @@ func (n *Network) WaitPushApplied(ctx context.Context, peer, rel string, ver uin
 		rp := n.remotes[peer]
 		var cur uint64
 		if rp != nil {
-			if fp, ok := rp.fetched[rel]; ok {
-				cur = fp.ver
-			} else if fp, ok := rp.latest[rel]; ok {
-				cur = fp.ver
+			cur = rp.latest[rel].Version
+			if r, ok := rp.replicas[rel]; ok {
+				cur = r.fp.ver
 			}
 		}
 		n.remoteMu.RUnlock()

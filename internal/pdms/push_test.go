@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -229,24 +230,7 @@ func TestPushDifferentialLoopback(t *testing.T) {
 		t.Fatal("baseline remote answers differ from the all-local oracle")
 	}
 
-	defs := []string{
-		"v(N, E) :- mit.subject(N, E)",
-		"w(N) :- mit.subject(N, E), berkeley.course(N, S)",
-		// A self-join: maintaining it under a delete reads the pre-state
-		// of the very relation the push applies to, so the updategram's
-		// pre snapshot must predate the in-place apply.
-		"x(N) :- mit.subject(N, E), mit.subject(M, E)",
-	}
-	pushSubs := make([]*Subscription, len(defs))
-	localSubs := make([]*Subscription, len(defs))
-	for i, def := range defs {
-		if pushSubs[i], err = n.Subscribe("berkeley", fmt.Sprintf("mv%d", i), cq.MustParse(def)); err != nil {
-			t.Fatal(err)
-		}
-		if localSubs[i], err = local.Subscribe("berkeley", fmt.Sprintf("mv%d", i), cq.MustParse(def)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	pushSubs, localSubs := placeViews(t, n), placeViews(t, local)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -287,30 +271,7 @@ func TestPushDifferentialLoopback(t *testing.T) {
 
 	statesBase, scansBase := lb.States(), lb.Scans()
 
-	// Identical mutations on the served node and the all-local oracle
-	// (the oracle goes through Publish so its views are maintained by
-	// the in-process updategram path).
-	inserts := []relation.Tuple{
-		{relation.SV("Robotics"), relation.IV(25)},
-		{relation.SV("Databases"), relation.IV(60)}, // joins berkeley.course in w
-		{relation.SV("Compilers"), relation.IV(45)},
-	}
-	for _, row := range inserts {
-		if err := served["mit"].Insert("subject", row); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := local.InsertAndPublish("mit", "subject", row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	del := relation.Tuple{relation.SV("AI"), relation.IV(80)}
-	if removed, err := served["mit"].Delete("subject", del); err != nil || removed != 1 {
-		t.Fatalf("served delete removed %d (%v), want 1", removed, err)
-	}
-	if _, err := local.Publish("mit", "subject", view.Updategram{Relation: "subject",
-		Deletes: []relation.Tuple{del}}); err != nil {
-		t.Fatal(err)
-	}
+	inserts := mutateSubjects(t, served["mit"], local)
 
 	if err := n.WaitPushApplied(wctx, "mit", "subject", served["mit"].Store.Get("subject").Version()); err != nil {
 		t.Fatalf("push never applied the mutations: %v", err)
@@ -355,29 +316,18 @@ func TestPushDifferentialLoopback(t *testing.T) {
 	if got := lb.Scans(); got != scansBase {
 		t.Errorf("push-live query scanned %d relations", got-scansBase)
 	}
-
-	// Three-way view differential, byte-identical under the wire codec:
-	// push-maintained ≡ re-derived from scratch ≡ all-local oracle.
-	for i := range defs {
-		pushExt := n.ViewExtent(pushSubs[i])
-		if pushExt == nil {
-			t.Fatalf("view %d has no push-maintained extent", i)
-		}
-		mv := view.NewMaterialized(view.NewView("rederive", cq.MustParse(defs[i])))
-		if err := mv.Refresh(n.GlobalDB()); err != nil {
-			t.Fatal(err)
-		}
-		localExt := local.ViewExtent(localSubs[i])
-		pushEnc := sortedWire(pushExt.Rows())
-		if !bytes.Equal(pushEnc, sortedWire(mv.Extent.Rows())) {
-			t.Errorf("view %d: push-maintained extent differs from full re-derivation:\n got %v\nwant %v",
-				i, pushExt.Rows(), mv.Extent.Rows())
-		}
-		if !bytes.Equal(pushEnc, sortedWire(localExt.Rows())) {
-			t.Errorf("view %d: push-maintained extent differs from the all-local oracle:\n got %v\nwant %v",
-				i, pushExt.Rows(), localExt.Rows())
-		}
+	// A query consumes the push-fresh marks: the next one reports no
+	// refresh at all.
+	again, err := n.Query(ctx, Request{Peer: "berkeley", Query: q})
+	if err != nil {
+		t.Fatal(err)
 	}
+	again.Close()
+	if sp := again.SyncPaths(); len(sp) != 0 {
+		t.Errorf("second push-live query reported sync paths %v, want none", sp)
+	}
+
+	checkViews(t, n, pushSubs, local, localSubs)
 
 	// The raw subscriber saw every record the coordinator saw: 3 inserts
 	// plus 1 delete, in commit order.
@@ -412,6 +362,147 @@ func TestPushDifferentialLoopback(t *testing.T) {
 	}
 }
 
+// viewDefs are the materialized views the push and poll differentials
+// place at berkeley over the remote chain.
+var viewDefs = []string{
+	"v(N, E) :- mit.subject(N, E)",
+	"w(N) :- mit.subject(N, E), berkeley.course(N, S)",
+	// A self-join: maintaining it under a delete reads the pre-state of
+	// the very relation the replay applies to, so the updategram's pre
+	// snapshot must predate the in-place apply.
+	"x(N) :- mit.subject(N, E), mit.subject(M, E)",
+}
+
+// placeViews places every viewDefs view at berkeley, in order.
+func placeViews(t *testing.T, n *Network) []*Subscription {
+	t.Helper()
+	subs := make([]*Subscription, len(viewDefs))
+	for i, def := range viewDefs {
+		var err error
+		if subs[i], err = n.Subscribe("berkeley", fmt.Sprintf("mv%d", i), cq.MustParse(def)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return subs
+}
+
+// mutateSubjects applies identical mutations to the served mit peer and
+// to the all-local oracle — three inserts, then a delete of the seed
+// row — the oracle through Publish, so its views are maintained by the
+// in-process updategram path. It returns the inserted rows.
+func mutateSubjects(t *testing.T, served *Peer, oracle *Network) []relation.Tuple {
+	t.Helper()
+	inserts := []relation.Tuple{
+		{relation.SV("Robotics"), relation.IV(25)},
+		{relation.SV("Databases"), relation.IV(60)}, // joins berkeley.course in w
+		{relation.SV("Compilers"), relation.IV(45)},
+	}
+	for _, row := range inserts {
+		if err := served.Insert("subject", row); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := oracle.InsertAndPublish("mit", "subject", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	del := relation.Tuple{relation.SV("AI"), relation.IV(80)}
+	if removed, err := served.Delete("subject", del); err != nil || removed != 1 {
+		t.Fatalf("served delete removed %d (%v), want 1", removed, err)
+	}
+	if _, err := oracle.Publish("mit", "subject", view.Updategram{Relation: "subject",
+		Deletes: []relation.Tuple{del}}); err != nil {
+		t.Fatal(err)
+	}
+	return inserts
+}
+
+// checkViews is the view differential, byte-identical under the wire
+// codec: each of n's placed viewDefs views (subs) ≡ its re-derivation
+// from scratch over n's global database ≡ the oracle network's extent
+// of the same view (skipped when oracle is nil).
+func checkViews(t *testing.T, n *Network, subs []*Subscription, oracle *Network, oracleSubs []*Subscription) {
+	t.Helper()
+	for i, sub := range subs {
+		ext := n.ViewExtent(sub)
+		if ext == nil {
+			t.Fatalf("view %d has no maintained extent", i)
+		}
+		mv := view.NewMaterialized(view.NewView("rederive", sub.MV.View.Def))
+		if err := mv.Refresh(n.GlobalDB()); err != nil {
+			t.Fatal(err)
+		}
+		enc := sortedWire(ext.Rows())
+		if !bytes.Equal(enc, sortedWire(mv.Extent.Rows())) {
+			t.Errorf("view %d: maintained extent differs from full re-derivation:\n got %v\nwant %v",
+				i, ext.Rows(), mv.Extent.Rows())
+		}
+		if oracle == nil {
+			continue
+		}
+		if want := oracle.ViewExtent(oracleSubs[i]); !bytes.Equal(enc, sortedWire(want.Rows())) {
+			t.Errorf("view %d: maintained extent differs from the all-local oracle:\n got %v\nwant %v",
+				i, ext.Rows(), want.Rows())
+		}
+	}
+}
+
+// TestPlacedViewsFollowPollPath: placed views over a remote relation
+// follow a poll-path refresh — a full scan from a plain served peer, a
+// delta catch-up from a durable one — exactly as they follow the push
+// path. After inserts and a delete at the served mit, one Query must
+// refresh mit.subject by the expected path with no push subscription,
+// and every view must equal its re-derivation and the all-local oracle
+// maintained through Publish.
+func TestPlacedViewsFollowPollPath(t *testing.T) {
+	subject := relation.NewSchema("subject", relation.Attr("name"), relation.IntAttr("enrollment"))
+	for _, path := range []string{"scan", "delta"} {
+		t.Run(path, func(t *testing.T) {
+			m := NewPeer("mit", subject)
+			if path == "delta" {
+				var err error
+				if m, err = OpenDurablePeer("mit", t.TempDir(), subject); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { m.ClosePersist() })
+			}
+			n, _, served := remoteChainNetworkWith(t, m)
+			local := chainNetwork(t)
+			q := cq.MustParse("q(T) :- course(T, S)")
+			if _, err := n.Answer("berkeley", q, ReformOptions{}); err != nil {
+				t.Fatal(err) // the cold fill: views then place over full replicas
+			}
+			subs, localSubs := placeViews(t, n), placeViews(t, local)
+			_, deltas0, _ := n.RemoteSyncCounts()
+			mutateSubjects(t, served["mit"], local)
+
+			cur, err := n.Query(context.Background(), Request{Peer: "berkeley", Query: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cur.Materialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur.Close()
+			want := []SyncPath{{Peer: "mit", Rel: "subject", Path: path}}
+			if !slices.Equal(cur.SyncPaths(), want) {
+				t.Fatalf("sync paths %v, want %v", cur.SyncPaths(), want)
+			}
+			if _, deltas, _ := n.RemoteSyncCounts(); path == "delta" && deltas <= deltas0 {
+				t.Errorf("delta sync count stayed at %d", deltas)
+			}
+			oracle, err := local.Answer("berkeley", q, ReformOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sortedWire(got.Rows()), sortedWire(oracle.Answers.Rows())) {
+				t.Errorf("answers %v, all-local oracle %v", got.Rows(), oracle.Answers.Rows())
+			}
+			checkViews(t, n, subs, local, localSubs)
+		})
+	}
+}
+
 // TestPushResubscribeAfterGap evicts the coordinator's subscription by
 // shrinking the feed to one slot and bursting commits: the manager
 // counts the typed gap, resubscribes, and the next query heals the
@@ -422,6 +513,10 @@ func TestPushResubscribeAfterGap(t *testing.T) {
 	lb.FeedQueue = 1
 	q := cq.MustParse("q(T) :- course(T, S)")
 	if _, err := n.Answer("berkeley", q, ReformOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := n.Subscribe("berkeley", "v", cq.MustParse(viewDefs[0]))
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -489,6 +584,7 @@ func TestPushResubscribeAfterGap(t *testing.T) {
 	if _, _, gaps := n.PushCounts(); gaps == 0 {
 		t.Error("gap counter never incremented")
 	}
+	checkViews(t, n, []*Subscription{sub}, nil, nil)
 }
 
 // pollOnly hides Subscribe from a push-capable transport, so the
@@ -589,28 +685,26 @@ func clampNet(t *testing.T, factRows int) (*Network, *budgetTap) {
 	return n, tap
 }
 
-func clampRequest(limit, shipBudget int) Request {
+func clampRequest(limit int) Request {
 	return Request{
-		Peer:          "home",
-		Query:         cq.MustParse("q(P, L) :- fact(K, P), dim(K, L)"),
-		Reform:        ReformOptions{MaxDepth: 3},
-		Ship:          ShipAlways,
-		Limit:         limit,
-		ShipRowBudget: shipBudget,
+		Peer:   "home",
+		Query:  cq.MustParse("q(P, L) :- fact(K, P), dim(K, L)"),
+		Reform: ReformOptions{MaxDepth: 3},
+		Ship:   ShipAlways,
+		Limit:  limit,
 	}
 }
 
 // TestShipLimitClampsRowBudget is the regression pin for the Limit →
 // RowBudget clamp: a limited query ships its sub-plans with budget
 // Limit × shipLimitFactor, an unlimited query ships the default budget,
-// a huge Limit never raises the budget past it, and an explicit
-// ShipRowBudget combines with the clamp by taking the minimum.
+// and a huge Limit never raises the budget past it.
 func TestShipLimitClampsRowBudget(t *testing.T) {
 	n, tap := clampNet(t, 50) // ~15 rows per 3-key ship: well under every budget
-	run := func(limit, shipBudget int, want uint64) {
+	run := func(limit int, want uint64) {
 		t.Helper()
 		n.InvalidateCaches()
-		cur, err := n.Query(context.Background(), clampRequest(limit, shipBudget))
+		cur, err := n.Query(context.Background(), clampRequest(limit))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -620,22 +714,18 @@ func TestShipLimitClampsRowBudget(t *testing.T) {
 		cur.Close()
 		budgets := tap.taken()
 		if len(budgets) == 0 {
-			t.Fatalf("limit=%d budget=%d: no sub-plan shipped", limit, shipBudget)
+			t.Fatalf("limit=%d: no sub-plan shipped", limit)
 		}
 		for _, got := range budgets {
 			if got != want {
-				t.Errorf("limit=%d budget=%d: shipped RowBudget = %d, want %d",
-					limit, shipBudget, got, want)
+				t.Errorf("limit=%d: shipped RowBudget = %d, want %d", limit, got, want)
 			}
 		}
 	}
-	run(1, 0, shipLimitFactor)          // Limit 1 clamps to 1 × factor
-	run(3, 0, 3*shipLimitFactor)        // clamp scales with Limit
-	run(0, 0, DefaultShipRowBudget)     // unlimited: the default backstop
-	run(1<<20, 0, DefaultShipRowBudget) // huge Limit never raises the budget
-	run(1, 100, shipLimitFactor)        // explicit budget: clamp wins when tighter
-	run(10, 100, 100)                   // explicit budget wins when tighter
-	run(10, -1, 10*shipLimitFactor)     // unlimited budget: only the clamp caps
+	run(1, shipLimitFactor)          // Limit 1 clamps to 1 × factor
+	run(3, 3*shipLimitFactor)        // clamp scales with Limit
+	run(0, DefaultShipRowBudget)     // unlimited: the default backstop
+	run(1<<20, DefaultShipRowBudget) // huge Limit never raises the budget
 }
 
 // TestShipLimitClampOverflowFallsBack pins the clamp's soundness: when
@@ -645,7 +735,7 @@ func TestShipLimitClampsRowBudget(t *testing.T) {
 // a member of the unclamped oracle's answer set.
 func TestShipLimitClampOverflowFallsBack(t *testing.T) {
 	n, tap := clampNet(t, 1000) // ~300 rows per 3-key ship: overflows Limit 1's budget of 64
-	cur, err := n.Query(context.Background(), clampRequest(1, 0))
+	cur, err := n.Query(context.Background(), clampRequest(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,15 +63,6 @@ type Request struct {
 	// every eligible relation). Which path each relation actually took
 	// is reported by Cursor.SyncPaths.
 	Ship ShipMode
-	// ShipRowBudget caps a shipped sub-plan's distinct answers
-	// (DefaultShipRowBudget when 0, unlimited when negative). A plan
-	// that overflows its budget is not truncated — the serving peer
-	// fails it typed (ErrPlanBudget) and the coordinator falls back to
-	// mirroring the relation. When Limit is set, the effective budget
-	// is further clamped to Limit × shipLimitFactor, so an existence
-	// query never licenses a serving peer to stream a huge sub-plan
-	// result; the fail-not-truncate contract keeps the clamp sound.
-	ShipRowBudget int
 }
 
 // Cursor streams the deduplicated answers of one Query call. Tuples are
@@ -395,21 +386,14 @@ func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
 	}
 	var ships map[string]*relation.Relation
 	if len(n.remotes) > 0 {
-		shipBudget := uint64(DefaultShipRowBudget)
-		switch {
-		case req.ShipRowBudget > 0:
-			shipBudget = uint64(req.ShipRowBudget)
-		case req.ShipRowBudget < 0:
-			shipBudget = 0
-		}
 		// A limited query needs at most Limit answers, so cap what any
-		// shipped sub-plan may stream back. Sound because budgets fail
-		// typed rather than truncate: a too-tight clamp falls back to
-		// mirroring, never drops answers.
+		// shipped sub-plan may stream back: an existence query never
+		// licenses a serving peer to stream a huge result. Sound because
+		// budgets fail typed rather than truncate: a too-tight clamp
+		// falls back to mirroring, never drops answers.
+		shipBudget := uint64(DefaultShipRowBudget)
 		if req.Limit > 0 {
-			if lim := uint64(req.Limit) * shipLimitFactor; shipBudget == 0 || lim < shipBudget {
-				shipBudget = lim
-			}
+			shipBudget = min(shipBudget, uint64(req.Limit)*shipLimitFactor)
 		}
 		r, sh, paths, err := n.fetchReferenced(ctx, e.rws, req.Retry, budget,
 			req.AllowStale, degraded, req.Ship, shipBudget)

@@ -1,11 +1,14 @@
 package pdms
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +16,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/glav"
 	"repro/internal/relation"
+	"repro/internal/view"
 )
 
 // This file implements remote peers: participants whose data lives on
@@ -25,8 +29,10 @@ import (
 // growth flows into the same atomic topoVersion path local AddSchema
 // uses (so cached reformulations die exactly like they do for local
 // topology changes), and only referenced relations whose remote
-// (version, rows) fingerprint moved are re-scanned — warm queries move
-// no tuples.
+// (version, rows) fingerprint moved are refreshed — warm queries move
+// no tuples. A replica changes only through install (a complete scan)
+// or replay (verified delta or pushed records, in place), and both keep
+// placed materialized views in step.
 
 // RemotePeer is a network participant served over a Transport. Its
 // mirror peer carries the remote schemas and replica relations; the
@@ -39,17 +45,12 @@ type RemotePeer struct {
 	mirror *Peer
 	// schemaVer is the last remote schema version synced into the mirror.
 	schemaVer uint64
-	// fetched maps relation name → the remote fingerprint its replica
-	// was built from; latest holds the fingerprints of the most recent
-	// State call. Both are guarded by the owning Network's remoteMu.
-	fetched map[string]remoteFP
-	latest  map[string]remoteFP
-	// latestStats holds the full per-relation statistics of the most
-	// recent State call — the remoteFP fingerprints above stay a tiny
-	// comparable pair, while the ship-vs-mirror cost model reads the
-	// per-column distinct estimates from here. Guarded by the owning
-	// Network's remoteMu.
-	latestStats map[string]relation.Stats
+	// replicas maps relation name → the state of its mirror replica;
+	// latest holds the statistics of the last State answer or push ack,
+	// advanced by pushed records (the ship-vs-mirror cost model reads
+	// them too). Both are guarded by the owning Network's remoteMu.
+	replicas map[string]replica
+	latest   map[string]relation.Stats
 	// lastSync is when the last successful freshness probe completed;
 	// lastErr is the failure that marked the peer down. Both guarded by
 	// the owning Network's remoteMu.
@@ -67,15 +68,10 @@ type RemotePeer struct {
 	proberMu   sync.Mutex
 	proberStop chan struct{}
 	// pushLive marks an established push subscription: pushed records
-	// keep latest/fetched current, so queries skip the State probe
+	// keep latest and replicas current, so queries skip the State probe
 	// entirely. Atomic because the subscription manager flips it while
 	// queries read it under remoteMu.
 	pushLive atomic.Bool
-	// pushFresh marks, per relation, that the push path refreshed the
-	// replica since the last query referenced it — the flag behind the
-	// "push" entry in Cursor.SyncPaths. Guarded by the owning Network's
-	// remoteMu.
-	pushFresh map[string]bool
 	// pushMu guards the push subscription manager's lifecycle handles
 	// (StartPush/StopPush); its own mutex because StopPush joins the
 	// manager goroutine, which itself takes remoteMu.
@@ -203,6 +199,23 @@ type remoteFP struct {
 	rows int
 }
 
+// replica is what the coordinator knows about one mirror replica: the
+// remote fingerprint its rows reflect, and whether the push path moved
+// it since a query last referenced it (the flag behind the "push" entry
+// in Cursor.SyncPaths).
+type replica struct {
+	fp     remoteFP
+	pushed bool
+}
+
+// target returns the fingerprint rel's replica must reach to be
+// current, and whether the remote serves rel at all. Caller holds the
+// owning Network's remoteMu.
+func (rp *RemotePeer) target(rel string) (remoteFP, bool) {
+	st, ok := rp.latest[rel]
+	return remoteFP{ver: st.Version, rows: st.Rows}, ok
+}
+
 // Name returns the remote peer's name.
 func (rp *RemotePeer) Name() string { return rp.name }
 
@@ -248,17 +261,13 @@ func (n *Network) AddRemotePeer(ctx context.Context, name string, tr Transport) 
 		return nil, err
 	}
 	rp := &RemotePeer{
-		name:        name,
-		tr:          tr,
-		mirror:      mirror,
-		schemaVer:   st.SchemaVersion,
-		fetched:     make(map[string]remoteFP),
-		latest:      make(map[string]remoteFP, len(st.Relations)),
-		latestStats: make(map[string]relation.Stats, len(st.Relations)),
-		lastSync:    time.Now(),
-		pushFresh:   make(map[string]bool),
+		name:     name,
+		tr:       tr,
+		mirror:   mirror,
+		replicas: make(map[string]replica),
+		latest:   make(map[string]relation.Stats, len(st.Relations)),
 	}
-	rp.setLatest(st)
+	rp.adoptState(st, nil)
 	if n.remotes == nil {
 		n.remotes = make(map[string]*RemotePeer)
 	}
@@ -266,18 +275,27 @@ func (n *Network) AddRemotePeer(ctx context.Context, name string, tr Transport) 
 	return rp, nil
 }
 
-// setLatest records a State response's per-relation fingerprints and
-// full statistics (the ship-vs-mirror cost model's input), refilling
-// the maps in place so the per-query probe does not allocate them
-// anew. Caller holds the owning Network's remoteMu write side, or owns
-// rp exclusively.
-func (rp *RemotePeer) setLatest(st PeerState) {
-	clear(rp.latest)
-	clear(rp.latestStats)
-	for _, ns := range st.Relations {
-		rp.latest[ns.Name] = remoteFP{ver: ns.Stats.Version, rows: ns.Stats.Rows}
-		rp.latestStats[ns.Name] = ns.Stats
+// adoptState folds one answer from the peer — a State probe's or a
+// push subscription's ack — into the mirror: schemas fetched because
+// the remote schema version moved grow it (pass nil when it did not
+// move), the per-relation statistics replace the latest ones (refilled
+// in place, so the per-query probe allocates no map), and the peer
+// counts as synced and up again. Caller holds the owning Network's
+// remoteMu write side, or owns rp exclusively.
+func (rp *RemotePeer) adoptState(st PeerState, schemas []relation.Schema) {
+	for _, s := range schemas {
+		if !rp.mirror.HasRelation(s.Name) {
+			rp.mirror.AddSchema(s)
+		}
 	}
+	rp.schemaVer = st.SchemaVersion
+	clear(rp.latest)
+	for _, ns := range st.Relations {
+		rp.latest[ns.Name] = ns.Stats
+	}
+	rp.lastSync = time.Now()
+	rp.lastErr = nil
+	rp.down.Store(false)
 }
 
 // syncRemotes refreshes every remote peer's fingerprint with one State
@@ -357,24 +375,15 @@ func (n *Network) syncRemotes(ctx context.Context, pol RetryPolicy, budget *retr
 	retries = int(retried.Load())
 	for i, name := range names {
 		rp, st, perr := n.remotes[name], states[i], errs[i]
+		var schemas []relation.Schema
 		if perr == nil && st.SchemaVersion != rp.schemaVer {
-			var schemas []relation.Schema
 			r, serr := retryOp(ctx, pol, budget, func(actx context.Context) error {
 				var e error
 				schemas, e = rp.tr.Schemas(actx, name)
 				return e
 			})
 			retries += r
-			if serr != nil {
-				perr = serr
-			} else {
-				for _, s := range schemas {
-					if !rp.mirror.HasRelation(s.Name) {
-						rp.mirror.AddSchema(s)
-					}
-				}
-				rp.schemaVer = st.SchemaVersion
-			}
+			perr = serr
 		}
 		if perr != nil {
 			if allowStale && degradable(ctx, perr) {
@@ -384,20 +393,18 @@ func (n *Network) syncRemotes(ctx context.Context, pol RetryPolicy, budget *retr
 			}
 			return retries, fmt.Errorf("pdms: sync remote peer %s: %w", name, perr)
 		}
-		rp.setLatest(st)
-		rp.lastSync = time.Now()
-		rp.down.Store(false) // a successful probe resurrects a down peer
+		rp.adoptState(st, schemas)
 	}
 	return retries, nil
 }
 
-// fetchJob names one stale replica to rebuild. When the mirror already
+// fetchJob names one stale replica to refresh. When the mirror already
 // holds a replica built from a known fingerprint, base carries that
 // replica and have its fingerprint, so the worker can try a delta
-// catch-up — applied to base in place — before falling back to a full
-// scan; base is captured while the caller holds remoteMu, because
-// workers must not read the mirror store concurrently with the drain
-// loop's replica publishes.
+// catch-up — verified against base, which the worker only reads —
+// before falling back to a full scan; base is captured while the caller
+// holds remoteMu, because workers must not read the mirror store while
+// the drain loop installs replicas into it.
 type fetchJob struct {
 	rp   *RemotePeer
 	rel  string
@@ -410,6 +417,21 @@ type fetchJob struct {
 	ship *shipSpec
 }
 
+// fetchResult is one fetch worker's outcome. path says how the relation
+// was refreshed, and is what the drain loop switches on: "ship" (rel is
+// a partial replica for the per-request overlay, never the mirror),
+// "delta" (recs are change records verified against the job's base,
+// landing on got), or "scan" (rel is a complete replica built to the
+// job's want).
+type fetchResult struct {
+	job  fetchJob
+	path string
+	rel  *relation.Relation
+	recs []relation.ChangeRecord
+	got  remoteFP
+	err  error
+}
+
 // RemoteSyncCounts reports how many replica refreshes the network has
 // performed by full relation scan, by delta catch-up, and by shipped
 // sub-plan since creation — the observability the durability tests (and
@@ -420,42 +442,16 @@ func (n *Network) RemoteSyncCounts() (scans, deltas, ships uint64) {
 	return n.remoteScans.Load(), n.remoteDeltas.Load(), n.remoteShips.Load()
 }
 
-// applyDelta brings the replica dst, built from fingerprint have, up to
-// date with change records: it verifies the whole batch first, then
-// replays it onto dst in place, and returns the fingerprint dst landed
-// on. Verification checks every record — the relation name, strictly
-// rising versions, schema compatibility, the post-change row count —
-// and that the batch reaches version want.ver (pass a zero want when
-// any end point will do). Any inconsistency returns an error before
-// dst is touched: a rejected batch leaves the replica exactly as it
-// was, so a last-good mirror is never half-applied, and the caller
-// falls back to a full scan.
-//
-// Mutating the replica in place is safe because replicas are mutated
-// only under n.remoteMu's write side — by the push applier, or by the
-// fetch workers of a Query that holds it, each owning distinct
-// relations — and cursors only ever read SnapshotAs snapshots, which
-// no mutation of the replica changes.
-func applyDelta(dst *relation.Relation, rel string, have, want remoteFP, recs []relation.ChangeRecord) (remoteFP, error) {
-	fp, err := verifyDelta(dst, rel, have, want, recs)
-	if err != nil {
-		return remoteFP{}, err
-	}
-	for _, rec := range recs {
-		if rec.Op == relation.ChangeDelete {
-			dst.Delete(rec.Tuple)
-		} else if err := dst.Insert(rec.Tuple); err != nil {
-			panic(fmt.Sprintf("pdms: verified delta insert rejected: %v", err))
-		}
-	}
-	return fp, nil
-}
-
-// verifyDelta checks change records against the replica base without
-// mutating it and returns the fingerprint replaying them lands on (see
-// applyDelta). A delete removes every copy of its tuple: the replica's
-// own copies, counted once up front, plus those the batch inserted —
-// and none of either once an earlier delete in the batch removed them.
+// verifyDelta checks change records against the replica base, built
+// from fingerprint have, without mutating it, and returns the
+// fingerprint replaying them lands on. It checks every record — the
+// relation name, strictly rising versions, schema compatibility, the
+// post-change row count — and that the batch reaches version want.ver
+// (pass a zero want when any end point will do). A delete removes every
+// copy of its tuple: the replica's own copies, counted once up front,
+// plus those the batch inserted — and none of either once an earlier
+// delete in the batch removed them. Only an accepted batch is replayed
+// (replay), so a last-good mirror is never half-applied.
 func verifyDelta(base *relation.Relation, rel string, have, want remoteFP, recs []relation.ChangeRecord) (remoteFP, error) {
 	var copies relation.TupleMap[int]
 	for _, rec := range recs {
@@ -500,23 +496,72 @@ func verifyDelta(base *relation.Relation, rel string, have, want remoteFP, recs 
 	return fp, nil
 }
 
+// replay applies change records verifyDelta accepted to rp's replica of
+// rel in place, records to as the replica's new state, and maintains
+// placed materialized views incrementally: the base updategram flows
+// through fanoutViews between a global snapshot taken before the apply
+// and one taken after, with a re-derivation of the views that read rel
+// as the fallback truth. It is the one replay path — the delta catch-up
+// and the push applier both end here.
+//
+// Mutating the replica in place is safe because replicas change only on
+// the goroutine holding n.remoteMu's write side (fetch workers only read
+// them), and cursors only ever read SnapshotAs snapshots, which no
+// mutation of the replica changes.
+func (n *Network) replay(rp *RemotePeer, rel string, recs []relation.ChangeRecord, to replica) {
+	var pre *relation.Database
+	if n.hasSubs() {
+		// The updategram's pre-state: taken before the in-place apply,
+		// which the snapshot's copies do not see.
+		pre = n.globalSnapshot()
+	}
+	r := rp.mirror.Store.Get(rel)
+	var u view.Updategram
+	for _, rec := range recs {
+		if rec.Op == relation.ChangeDelete {
+			r.Delete(rec.Tuple)
+			u.Deletes = append(u.Deletes, rec.Tuple)
+		} else if err := r.Insert(rec.Tuple); err != nil {
+			panic(fmt.Sprintf("pdms: verified change record rejected: %v", err))
+		} else {
+			u.Inserts = append(u.Inserts, rec.Tuple)
+		}
+	}
+	rp.replicas[rel] = to
+	if pre != nil {
+		u.Relation = glav.QualifiedName(rp.name, rel)
+		post := n.globalSnapshot()
+		if err := n.fanoutViews(pre, post, u, &PublishStats{}); err != nil {
+			n.refreshViews(post, u.Relation)
+		}
+	}
+}
+
+// install replaces rp's replica of a relation with a complete scan
+// built to fingerprint fp. Caller holds n.remoteMu's write side, and
+// re-derives the placed views that read the relation (refreshViews).
+func (rp *RemotePeer) install(r *relation.Relation, fp remoteFP) {
+	rp.mirror.Store.Put(r)
+	rp.replicas[r.Schema.Name] = replica{fp: fp}
+}
+
 // fetchReferenced brings every remote relation referenced by the
 // rewritings up to date with the fingerprints syncRemotes just
-// recorded. Stale replicas are re-scanned concurrently on a bounded
+// recorded. Stale replicas are refreshed concurrently on a bounded
 // worker pool (the PR 3 fan-out shape: a job channel, first
-// non-absorbable error cancels the rest), each scan retried under the
-// request's policy and streaming tuple batches into a fresh relation
-// built through InsertBatch so column statistics accrue and the
-// cost-based planner orders joins from remote cardinalities. A failed
-// attempt discards its partial relation — a replica is replaced only
-// by a complete scan, atomically, from this goroutine (or caught up in
-// place by a verified delta, see applyDelta), which also bumps
-// the global snapshot fingerprint so plans compiled from the stale
-// replica are recompiled, never reused.
+// non-absorbable error cancels the rest), each fetch retried under the
+// request's policy. Workers only do I/O and read: tryDelta verifies a
+// delta catch-up against the replica, and a scan streams tuple batches
+// into a fresh relation built through InsertBatch so column statistics
+// accrue for the cost-based planner (a failed attempt discards its
+// partial relation). Replicas change only here, in the drain loop:
+// replay applies verified records in place, install swaps in a complete
+// scan. Either moves the global snapshot fingerprint, so plans compiled
+// from the stale replica are recompiled, and keeps placed views in step.
 //
 // Peers already recorded in degraded are skipped (their replicas
 // deliberately stay at the last-good snapshot), and when allowStale
-// is set, a peer whose scan exhausts its retries mid-query joins them
+// is set, a peer whose fetch exhausts its retries mid-query joins them
 // instead of failing the request — covering peers that die between
 // the freshness probe and the fetch. Caller holds n.remoteMu.
 //
@@ -527,10 +572,16 @@ func verifyDelta(base *relation.Relation, rel string, have, want remoteFP, recs 
 // mirror, whose replicas must stay complete. A ship the serving side
 // rejects (ErrPlanUnsupported-class, including row-budget overflows)
 // falls back to the delta/scan paths inside the same job. paths
-// records, per refreshed relation, which path won.
+// records, per refreshed relation in peer/relation order, which path
+// won.
 func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol RetryPolicy,
 	budget *retryBudget, allowStale bool, degraded map[string]*DegradedPeer,
 	mode ShipMode, shipBudget uint64) (retries int, ships map[string]*relation.Relation, paths []SyncPath, err error) {
+	defer func() {
+		slices.SortFunc(paths, func(a, b SyncPath) int {
+			return cmp.Or(strings.Compare(a.Peer, b.Peer), strings.Compare(a.Rel, b.Rel))
+		})
+	}()
 	var jobs []fetchJob
 	queued := make(map[string]bool)
 	for _, rw := range rws {
@@ -547,60 +598,36 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 				continue // degraded peer: its last-good replicas serve as-is
 			}
 			queued[a.Pred] = true
-			want, known := rp.latest[rel]
+			want, known := rp.target(rel)
 			if !known {
 				continue // mirror schema exists but remote serves no data yet
 			}
 			job := fetchJob{rp: rp, rel: rel, want: want}
-			if got, ok := rp.fetched[rel]; ok {
-				if got == want {
-					if rp.pushFresh[rel] {
-						// The push path refreshed this replica since the last
-						// query referenced it: report it, once.
-						delete(rp.pushFresh, rel)
+			if cur, ok := rp.replicas[rel]; ok {
+				// A query consumes the push-fresh mark: it is reported once,
+				// and only while the replica is current.
+				rp.replicas[rel] = replica{fp: cur.fp}
+				if cur.fp == want {
+					if cur.pushed {
 						paths = append(paths, SyncPath{Peer: peer, Rel: rel, Path: "push"})
 					}
 					continue // replica already matches the remote fingerprint
 				}
-				delete(rp.pushFresh, rel) // stale replica: any push-fresh mark predates it
 				// Stale but known: hand the worker the current replica and
 				// its fingerprint so it can catch up from the serving peer's
 				// change log instead of re-scanning.
-				job.base, job.have = rp.mirror.Store.Get(rel), got
+				job.base, job.have = rp.mirror.Store.Get(rel), cur.fp
 			}
 			jobs = append(jobs, job)
 		}
 	}
 	if len(jobs) == 0 {
-		sort.Slice(paths, func(i, j int) bool {
-			if paths[i].Peer != paths[j].Peer {
-				return paths[i].Peer < paths[j].Peer
-			}
-			return paths[i].Rel < paths[j].Rel
-		})
 		return 0, nil, paths, nil
 	}
 	n.planShips(rws, jobs, mode, shipBudget, degraded)
 
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	type fetchResult struct {
-		job fetchJob
-		rel *relation.Relation
-		// got is the fingerprint the new replica was built to — want for
-		// a scan, possibly fresher for a delta that caught records written
-		// after the State probe.
-		got remoteFP
-		// viaDelta marks a replica caught up in place from change records
-		// rather than rebuilt by a full scan (rel is then nil; feeds the
-		// RemoteSyncCounts observability).
-		viaDelta bool
-		// overlay marks a partial replica built by shipped sub-plan
-		// execution: it goes into the per-request ships overlay, never the
-		// mirror store.
-		overlay bool
-		err     error
-	}
 	work := make(chan fetchJob, len(jobs))
 	for _, job := range jobs {
 		work <- job
@@ -617,7 +644,7 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 				}
 				if job.rp.down.Load() {
 					// The peer went down while this job queued (another of
-					// its scans exhausted retries): don't spend ours too.
+					// its fetches exhausted retries): don't spend ours too.
 					results <- fetchResult{job: job,
 						err: fmt.Errorf("%w: peer %s marked down", ErrPeerUnreachable, job.rp.name)}
 					continue
@@ -633,7 +660,7 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 					dst, r, serr := n.runShip(fctx, pol, budget, job)
 					retried.Add(int64(r))
 					if serr == nil {
-						results <- fetchResult{job: job, rel: dst, got: job.want, overlay: true}
+						results <- fetchResult{job: job, path: "ship", rel: dst}
 						continue
 					}
 					if !errors.Is(serr, ErrPlanUnsupported) {
@@ -641,124 +668,108 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 						continue
 					}
 				}
-				// Cheap path first: when the replica's last-synced fingerprint
-				// is known and the transport can ship change records, catch up
-				// from the serving peer's log instead of re-reading the
-				// relation. A transport failure here is the job's failure (a
-				// scan against the same peer would fare no better); an
-				// uncovered or inconsistent delta falls through to the scan.
-				got, viaDelta, r, err := n.tryDelta(fctx, pol, budget, job)
+				// Cheap path first: catch up from the serving peer's change
+				// log instead of re-reading the relation.
+				res, r := n.tryDelta(fctx, pol, budget, job)
 				retried.Add(int64(r))
-				if err != nil {
-					results <- fetchResult{job: job, err: err}
-					continue
-				}
-				if viaDelta {
-					results <- fetchResult{job: job, got: got, viaDelta: true}
+				if res.path != "" || res.err != nil {
+					results <- res
 					continue
 				}
 				var dst *relation.Relation
-				r, err = retryOp(fctx, pol, budget, func(actx context.Context) error {
+				r, err := retryOp(fctx, pol, budget, func(actx context.Context) error {
 					// Fresh destination per attempt: a dropped scan's partial
 					// tuples must never leak into the retry.
 					dst = relation.New(job.rp.mirror.Schema(job.rel))
 					return job.rp.tr.Scan(actx, job.rp.name, job.rel, dst.InsertBatch)
 				})
 				retried.Add(int64(r))
-				results <- fetchResult{job: job, rel: dst, got: job.want, err: err}
+				results <- fetchResult{job: job, path: "scan", rel: dst, err: err}
 			}
 		}()
 	}
 	// Every queued job yields exactly one result, so draining is
 	// deadlock-free even when an error cancels the stragglers.
 	var firstErr error
+	var replaced []string
 	for pending := len(jobs); pending > 0; pending-- {
 		res := <-results
-		if res.viaDelta {
-			// Applied to the mirror's replica in place: its fingerprint
-			// must follow it even when another job fails the request.
-			res.job.rp.fetched[res.job.rel] = res.got
-			n.remoteDeltas.Add(1)
-			paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "delta"})
-			continue
-		}
+		rp, rel := res.job.rp, res.job.rel
 		if res.err != nil {
 			if allowStale && degradable(ctx, res.err) {
-				name := res.job.rp.name
-				if degraded[name] == nil {
-					degraded[name] = &DegradedPeer{Peer: name, Err: res.err, LastSync: res.job.rp.lastSync}
-					n.markDown(res.job.rp, res.err)
+				if degraded[rp.name] == nil {
+					degraded[rp.name] = &DegradedPeer{Peer: rp.name, Err: res.err, LastSync: rp.lastSync}
+					n.markDown(rp, res.err)
 				}
 				continue // last-good replica keeps serving; don't cancel the rest
 			}
 			if firstErr == nil {
-				firstErr = fmt.Errorf("pdms: fetch %s.%s: %w", res.job.rp.name, res.job.rel, res.err)
-				cancel() // abort the remaining scans, PR 3 style
+				firstErr = fmt.Errorf("pdms: fetch %s.%s: %w", rp.name, rel, res.err)
+				cancel() // abort the remaining fetches
 			}
 			continue
 		}
-		if firstErr == nil {
-			if res.overlay {
-				if ships == nil {
-					ships = make(map[string]*relation.Relation)
-				}
-				ships[glav.QualifiedName(res.job.rp.name, res.job.rel)] = res.rel
-				n.remoteShips.Add(1)
-				paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "ship"})
-				continue
+		if firstErr != nil {
+			continue
+		}
+		switch res.path {
+		case "ship":
+			if ships == nil {
+				ships = make(map[string]*relation.Relation)
 			}
-			res.job.rp.mirror.Store.Put(res.rel)
-			res.job.rp.fetched[res.job.rel] = res.got
+			ships[glav.QualifiedName(rp.name, rel)] = res.rel
+			n.remoteShips.Add(1)
+		case "delta":
+			n.replay(rp, rel, res.recs, replica{fp: res.got})
+			n.remoteDeltas.Add(1)
+		case "scan":
+			rp.install(res.rel, res.job.want)
+			replaced = append(replaced, glav.QualifiedName(rp.name, rel))
 			n.remoteScans.Add(1)
-			paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "scan"})
 		}
+		paths = append(paths, SyncPath{Peer: rp.name, Rel: rel, Path: res.path})
 	}
-	sort.Slice(paths, func(i, j int) bool {
-		if paths[i].Peer != paths[j].Peer {
-			return paths[i].Peer < paths[j].Peer
-		}
-		return paths[i].Rel < paths[j].Rel
-	})
+	if len(replaced) > 0 && n.hasSubs() {
+		// Placed views cannot follow a whole-relation swap incrementally.
+		n.refreshViews(n.globalSnapshot(), replaced...)
+	}
 	return int(retried.Load()), ships, paths, firstErr
 }
 
-// tryDelta attempts the delta catch-up for one stale replica. used is
-// false (with a nil error) when the cheap path does not apply — the
-// transport cannot ship deltas, the replica has no known fingerprint,
-// the serving peer's log no longer covers the range, or the records
-// fail verification — and the caller falls back to a full scan. When
-// used, the catch-up was applied to job.base in place and got is the
-// fingerprint it landed on. A transport error is returned as err: a
-// scan against the same unreachable peer would only spend more
-// retries, so the failure flows into the request's ordinary
-// degradation handling.
+// tryDelta fetches and verifies (but does not replay) the delta
+// catch-up for one stale replica. The result's path is empty, with a
+// nil error, when the cheap path does not apply — the transport cannot
+// ship deltas, the replica has no known fingerprint, the serving peer's
+// log no longer covers the range, or the records fail verification —
+// and the caller falls back to a full scan. A transport error is the
+// result's err: a scan against the same unreachable peer would only
+// spend more retries, so it flows into ordinary degradation handling.
 func (n *Network) tryDelta(ctx context.Context, pol RetryPolicy, budget *retryBudget,
-	job fetchJob) (got remoteFP, used bool, retries int, err error) {
+	job fetchJob) (res fetchResult, retries int) {
 	dt, can := job.rp.tr.(DeltaTransport)
 	if !can || job.base == nil {
-		return remoteFP{}, false, 0, nil
+		return fetchResult{}, 0
 	}
 	var recs []relation.ChangeRecord
 	var covered bool
-	retries, err = retryOp(ctx, pol, budget, func(actx context.Context) error {
+	retries, err := retryOp(ctx, pol, budget, func(actx context.Context) error {
 		var derr error
 		recs, covered, derr = dt.Delta(actx, job.rp.name, job.rel, job.have.ver)
 		return derr
 	})
 	if err != nil {
-		return remoteFP{}, false, retries, err
+		return fetchResult{job: job, err: err}, retries
 	}
 	if !covered {
-		return remoteFP{}, false, retries, nil
+		return fetchResult{}, retries
 	}
-	got, aerr := applyDelta(job.base, job.rel, job.have, job.want, recs)
-	if aerr != nil {
+	got, verr := verifyDelta(job.base, job.rel, job.have, job.want, recs)
+	if verr != nil {
 		// Inconsistent records, or a catch-up that fell short of the
-		// fingerprint the State probe promised: the replica is untouched
-		// and the scan is the truth.
-		return remoteFP{}, false, retries, nil
+		// fingerprint the State probe promised: the scan is the truth.
+		return fetchResult{}, retries
 	}
-	return got, true, retries, nil
+	return fetchResult{job: job, path: "delta", recs: recs, got: got}, retries
 }
 
 // invalidateRemotesLocked drops every replica fingerprint so the next
@@ -767,6 +778,6 @@ func (n *Network) tryDelta(ctx context.Context, pol RetryPolicy, budget *retryBu
 // n.remoteMu.
 func (n *Network) invalidateRemotesLocked() {
 	for _, rp := range n.remotes {
-		rp.fetched = make(map[string]remoteFP)
+		clear(rp.replicas)
 	}
 }

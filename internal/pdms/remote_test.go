@@ -18,9 +18,16 @@ import (
 // tests can mutate "the remote node" directly.
 func remoteChainNetwork(t *testing.T) (*Network, *Loopback, map[string]*Peer) {
 	t.Helper()
+	return remoteChainNetworkWith(t,
+		NewPeer("mit", relation.NewSchema("subject", relation.Attr("name"), relation.IntAttr("enrollment"))))
+}
+
+// remoteChainNetworkWith is remoteChainNetwork serving the given empty
+// mit peer (a durable one, say) with subject(name, enrollment).
+func remoteChainNetworkWith(t *testing.T, m *Peer) (*Network, *Loopback, map[string]*Peer) {
+	t.Helper()
 	n := NewNetwork()
 	b := NewPeer("berkeley", relation.NewSchema("course", relation.Attr("title"), relation.IntAttr("size")))
-	m := NewPeer("mit", relation.NewSchema("subject", relation.Attr("name"), relation.IntAttr("enrollment")))
 	o := NewPeer("oxford", relation.NewSchema("offering", relation.Attr("label"), relation.IntAttr("seats")))
 	must := func(err error) {
 		t.Helper()

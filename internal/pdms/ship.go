@@ -61,10 +61,13 @@ var ErrPlanUnsupported = errors.New("pdms: remote plan execution unsupported")
 // for this specific cause with errors.Is(err, ErrPlanBudget).
 var ErrPlanBudget = fmt.Errorf("%w: row budget exceeded", ErrPlanUnsupported)
 
-// DefaultShipRowBudget caps a shipped sub-plan's distinct answers when
-// Request.ShipRowBudget is zero. Generous — the budget is a backstop
-// against a cost-model miss streaming a near-full relation through the
-// answer path, not a tuning knob.
+// DefaultShipRowBudget caps every shipped sub-plan's distinct answers;
+// a query with a Limit tightens the cap to Limit × shipLimitFactor. A
+// plan that overflows its budget is not truncated — the serving peer
+// fails it typed (ErrPlanBudget) and the coordinator falls back to
+// mirroring the relation. Generous — the budget is a backstop against a
+// cost-model miss streaming a near-full relation through the answer
+// path, not a tuning knob.
 const DefaultShipRowBudget = 1 << 20
 
 // shipLimitFactor converts a query's answer Limit into a shipped
@@ -345,7 +348,7 @@ func (n *Network) planShips(rws []cq.Query, jobs []fetchJob, mode ShipMode,
 	for qname, spec := range specs {
 		job := byQName[qname]
 		if mode == ShipAuto {
-			st, ok := job.rp.latestStats[job.rel]
+			st, ok := job.rp.latest[job.rel]
 			if !ok || st.Distinct == nil || !shipWorthIt(spec.parts, st) {
 				continue
 			}
@@ -444,13 +447,13 @@ func (n *Network) currentSource(pred string, degraded map[string]*DegradedPeer) 
 	if degraded[peer] != nil {
 		return nil
 	}
-	want, known := rp.latest[rel]
+	want, known := rp.target(rel)
 	if !known {
 		// The remote serves no data for rel: the mirror's empty replica
 		// is trivially current.
 		return rp.mirror.Store.Get(rel)
 	}
-	if got, ok := rp.fetched[rel]; !ok || got != want {
+	if cur, ok := rp.replicas[rel]; !ok || cur.fp != want {
 		return nil
 	}
 	return rp.mirror.Store.Get(rel)

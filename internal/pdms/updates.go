@@ -2,6 +2,7 @@ package pdms
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cq"
 	"repro/internal/glav"
@@ -100,14 +101,7 @@ func (n *Network) fanoutViews(pre, post *relation.Database, qu view.Updategram, 
 	defer n.subMu.Unlock()
 	var prepared *view.PreparedUpdate
 	for _, sub := range n.subs {
-		mentions := false
-		for _, a := range sub.MV.View.Def.Body {
-			if a.Pred == qu.Relation {
-				mentions = true
-				break
-			}
-		}
-		if !mentions {
+		if !sub.reads(qu.Relation) {
 			continue
 		}
 		stats.ViewsTouched++
@@ -129,16 +123,28 @@ func (n *Network) fanoutViews(pre, post *relation.Database, qu view.Updategram, 
 	return nil
 }
 
-// refreshViews recomputes every placed view's extent from scratch
-// against db — the correctness fallback when incremental propagation
-// fails. A view whose refresh fails keeps its old extent (the next
-// propagation retries).
-func (n *Network) refreshViews(db *relation.Database) {
+// reads reports whether the view's definition mentions the qualified
+// relation pred.
+func (sub *Subscription) reads(pred string) bool {
+	for _, a := range sub.MV.View.Def.Body {
+		if a.Pred == pred {
+			return true
+		}
+	}
+	return false
+}
+
+// refreshViews recomputes from scratch, against db, the extent of every
+// placed view that reads one of the qualified relations preds — the
+// correctness fallback when incremental propagation fails, and the only
+// way a view follows a relation replaced wholesale. A view whose
+// refresh fails keeps its old extent (the next propagation retries).
+func (n *Network) refreshViews(db *relation.Database, preds ...string) {
 	n.subMu.Lock()
 	defer n.subMu.Unlock()
 	for _, sub := range n.subs {
-		if err := sub.MV.Refresh(db); err != nil {
-			continue
+		if slices.ContainsFunc(preds, sub.reads) {
+			_ = sub.MV.Refresh(db) // on failure the old extent stays
 		}
 	}
 }
